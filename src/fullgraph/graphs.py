@@ -216,34 +216,55 @@ def degree_into_set(g: Graph, v: int, members: Iterable[int]) -> int:
 # -- exact independence -----------------------------------------------------
 
 
+def _independent_search(rows: tuple[int, ...], pool: int, target: int) -> list[int] | None:
+    """Independent set of at least ``target`` vertices inside the bitmask ``pool``, or None.
+
+    Exact branch and bound on an explicit stack, so its depth is not bounded
+    by the interpreter's recursion limit.  It branches on the vertex with
+    the most neighbours left in the pool, taking it first and leaving it out
+    second, and drops every branch that cannot reach ``target``.  A pool in
+    which no vertex has two neighbours is settled without branching, so the
+    set returned can be larger than ``target``.
+    """
+    chosen: list[int] = []
+    pending: list[tuple[int, int]] = []  # (pool, len(chosen)) of branches still to try
+    p = pool
+    while True:
+        if len(chosen) + p.bit_count() >= target:
+            if len(chosen) >= target:
+                return chosen
+            u, udeg = -1, -1
+            w = p
+            while w:
+                c = (w & -w).bit_length() - 1
+                d = (rows[c] & p).bit_count()
+                if d > udeg:
+                    u, udeg = c, d
+                w &= w - 1
+            if udeg > 1:
+                pending.append((p & ~(1 << u), len(chosen)))
+                chosen.append(u)
+                p &= ~(rows[u] | (1 << u))
+                continue
+            # isolated vertices and disjoint edges: one end of every edge
+            # and every isolated vertex make a largest set
+            while p:
+                c = (p & -p).bit_length() - 1
+                chosen.append(c)
+                p &= ~(rows[c] | (1 << c))
+            if len(chosen) >= target:
+                return chosen
+        if not pending:
+            return None
+        p, size = pending.pop()
+        del chosen[size:]
+
+
 def _max_independent_size(rows: tuple[int, ...], pool: int) -> int:
-    """Largest independent set inside the bitmask ``pool``; exact branch and bound."""
-    best = 0
-
-    def dfs(p: int, size: int) -> None:
-        nonlocal best
-        if size + p.bit_count() <= best:
-            return
-        if p == 0:
-            best = size
-            return
-        # branch on the most constrained vertex left in the pool
-        v, vdeg = -1, -1
-        w = p
-        while w:
-            u = (w & -w).bit_length() - 1
-            d = (rows[u] & p).bit_count()
-            if d > vdeg:
-                v, vdeg = u, d
-            w &= w - 1
-        if vdeg == 0:
-            best = size + p.bit_count()
-            return
-        dfs(p & ~rows[v] & ~(1 << v), size + 1)
-        dfs(p & ~(1 << v), size)
-
-    dfs(pool, 0)
-    return best
+    best: list[int] = []
+    while (found := _independent_search(rows, pool, len(best) + 1)) is not None:
+        best = found
+    return len(best)
 
 
 def independence_number(g: Graph) -> int:
@@ -261,9 +282,8 @@ def alpha_with_vertex(g: Graph, v: int) -> int:
 def independent_set_with(g: Graph, v: int, size: int) -> list[int] | None:
     """Some independent set of exactly ``size`` vertices containing v, or None.
 
-    Same branch-and-bound as the counting search, but carries the members so
-    callers get a witness.  Far faster than generic pattern matching when the
-    target pattern has no edges.
+    Far faster than generic pattern matching when the target pattern has
+    no edges.
     """
     if not 0 <= v < g.order:
         raise ValueError(f"vertex {v} outside 0..{g.order - 1}")
@@ -271,39 +291,9 @@ def independent_set_with(g: Graph, v: int, size: int) -> list[int] | None:
         raise ValueError("size must be positive")
     if size > g.order:
         return None
-    rows = g.rows
-    chosen = [v]
-
-    def dfs(p: int) -> bool:
-        if len(chosen) == size:
-            return True
-        need = size - len(chosen)
-        if p.bit_count() < need:
-            return False
-        u, udeg = -1, -1
-        w = p
-        while w:
-            c = (w & -w).bit_length() - 1
-            d = (rows[c] & p).bit_count()
-            if d > udeg:
-                u, udeg = c, d
-            w &= w - 1
-        if udeg == 0:
-            w = p
-            while w and len(chosen) < size:
-                chosen.append((w & -w).bit_length() - 1)
-                w &= w - 1
-            return True
-        chosen.append(u)
-        if dfs(p & ~rows[u] & ~(1 << u)):
-            return True
-        chosen.pop()
-        return dfs(p & ~(1 << u))
-
-    pool = ((1 << g.order) - 1) & ~rows[v] & ~(1 << v)
-    if dfs(pool):
-        return sorted(chosen)
-    return None
+    pool = ((1 << g.order) - 1) & ~g.rows[v] & ~(1 << v)
+    found = _independent_search(g.rows, pool, size - 1)
+    return None if found is None else sorted([v] + found[: size - 1])
 
 
 # -- structure detectors -----------------------------------------------------
@@ -383,21 +373,29 @@ def from_graph6(text: str) -> Graph:
         n = first
     need = (n * (n - 1) // 2 + 5) // 6
     rows = [0] * n
-    bit_index = 0
-    pairs = [(u, v) for v in range(1, n) for u in range(v)]
+    # bits come column by column: (0,1), (0,2), (1,2), (0,3), ...; u < v
+    v, u = 1, 0
     for _ in range(need):
         at = pos
         value = take("edge data")
+        if value == 0:
+            u += 6
+            while u >= v:
+                u -= v
+                v += 1
+            continue
         for k in range(5, -1, -1):
-            bit = (value >> k) & 1
-            if bit_index < len(pairs):
-                if bit:
-                    u, v = pairs[bit_index]
-                    rows[u] |= 1 << v
-                    rows[v] |= 1 << u
-            elif bit:
-                raise Graph6Error("nonzero padding bits", at)
-            bit_index += 1
+            if v >= n:
+                if value & ((2 << k) - 1):
+                    raise Graph6Error("nonzero padding bits", at)
+                break
+            if (value >> k) & 1:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+            u += 1
+            if u == v:
+                v += 1
+                u = 0
     if pos != len(data):
         raise Graph6Error("trailing garbage after graph6 data", pos)
     return Graph(n, tuple(rows))

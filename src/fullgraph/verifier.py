@@ -1,27 +1,18 @@
 """Decide whether every vertex of a host lies in an induced copy of each pattern.
 
-The copy search is a depth-first assignment of pattern vertices to host
-vertices.  Pattern vertices are placed in a fixed order (descending degree,
-index as tiebreak), host candidates are tried in ascending index, and a
-candidate is rejected as soon as its adjacency to the already-placed
-vertices differs from the pattern anywhere: copies are induced, so edges
-and non-edges both have to match.
+One engine, ``extend_partial_map``, finds induced copies: pinned pattern
+vertices first, the rest in a static connectivity order.  A level's host
+candidates are one bitmask, the AND of the host rows of the images of its
+placed pattern neighbours and of the complemented rows of the images of its
+placed non-neighbours, less the used vertices: copies are induced, so edges
+and non-edges both match.  Edgeless patterns use the independent-set search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .graphs import (
-    Graph,
-    complement,
-    independence_number,
-    independent_set_with,
-    is_complete_graph,
-    is_empty_graph,
-    to_graph6,
-)
+from .graphs import Graph, _independent_search, independent_set_with, is_empty_graph, to_graph6
 
 
 def extend_partial_map(host: Graph, pattern: Graph, pins: dict[int, int]) -> dict[int, int] | None:
@@ -35,54 +26,73 @@ def extend_partial_map(host: Graph, pattern: Graph, pins: dict[int, int]) -> dic
         raise ValueError("pattern must have at least one vertex")
     if p > h:
         return None
-    used = 0
     for q, w in pins.items():
         if not 0 <= q < p:
             raise ValueError(f"pinned pattern vertex {q} outside 0..{p - 1}")
         if not 0 <= w < h:
             raise ValueError(f"pinned host vertex {w} outside 0..{h - 1}")
-        if used & (1 << w):
-            return None
-        used |= 1 << w
-        if host.degree(w) < pattern.degree(q):
-            return None
-        if (h - 1 - host.degree(w)) < (p - 1 - pattern.degree(q)):
-            return None
-    for (q1, w1), (q2, w2) in combinations(pins.items(), 2):
-        if pattern.adjacent(q1, q2) != host.adjacent(w1, w2):
-            return None
+    prows, hrows = pattern.rows, host.rows
 
-    order = [q for q in sorted(range(p), key=lambda q: (-pattern.degree(q), q)) if q not in pins]
-    assignment = dict(pins)
-    host_deg = host.degrees()
+    # pinned vertices first, then the static connectivity order: most placed
+    # neighbours, then higher degree, then lower index (a mixed-radix key)
+    order = list(pins)
+    placed = sum(1 << q for q in pins)
+    rest = [q for q in range(p) if q not in pins]
+    while rest:
+        top = best = -1
+        for q in rest:
+            key = ((prows[q] & placed).bit_count() * p + prows[q].bit_count()) * p + p - 1 - q
+            if key > top:
+                top, best = key, q
+        rest.remove(best)
+        order.append(best)
+        placed |= 1 << best
 
-    def dfs(i: int) -> bool:
-        nonlocal used
-        if i == len(order):
-            return True
-        q = order[i]
-        pdeg = pattern.degree(q)
-        for w in range(h):
-            if used & (1 << w):
-                continue
-            if host_deg[w] < pdeg or (h - 1 - host_deg[w]) < (p - 1 - pdeg):
-                continue
-            ok = True
-            for q2, w2 in assignment.items():
-                if pattern.adjacent(q, q2) != host.adjacent(w, w2):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            assignment[q] = w
-            used |= 1 << w
-            if dfs(i + 1):
-                return True
-            del assignment[q]
-            used &= ~(1 << w)
-        return False
+    # per level: the host vertices allowed (one if pinned), a bitmask of the
+    # earlier levels adjacent in the pattern, the host degree range
+    allowed, adj, lo, hi = [], [], [], []
+    full = (1 << h) - 1
+    for i, q in enumerate(order):
+        row = prows[q]
+        allowed.append(1 << pins[q] if q in pins else full)
+        a = 0
+        for j in range(i):
+            if (row >> order[j]) & 1:
+                a |= 1 << j
+        adj.append(a)
+        d = row.bit_count()
+        lo.append(d)
+        hi.append(h - p + d)
 
-    return dict(assignment) if dfs(0) else None
+    images = [0] * p
+    cands = [0] * p
+    cands[0] = allowed[0]
+    used = i = 0
+    while True:
+        c = cands[i]
+        while c:
+            low = c & -c
+            c ^= low
+            w = low.bit_length() - 1
+            if lo[i] <= hrows[w].bit_count() <= hi[i]:
+                break
+        else:
+            if i == 0:
+                return None
+            i -= 1
+            used ^= 1 << images[i]
+            continue
+        cands[i] = c
+        images[i] = w
+        used |= low
+        i += 1
+        if i == p:
+            return dict(zip(order, images))
+        c = allowed[i] & ~used
+        a = adj[i]
+        for j in range(i):
+            c &= hrows[images[j]] if (a >> j) & 1 else ~hrows[images[j]]
+        cands[i] = c
 
 
 def find_induced_copy_containing(host: Graph, pattern: Graph, v: int) -> dict[int, int] | None:
@@ -97,14 +107,7 @@ def find_induced_copy_containing(host: Graph, pattern: Graph, v: int) -> dict[in
         # edgeless patterns reduce to an independent-set search, which the
         # dedicated branch-and-bound settles orders of magnitude faster
         members = independent_set_with(host, v, pattern.order)
-        if members is None:
-            return None
-        return dict(enumerate(members))
-    if pattern.order >= 2 and is_complete_graph(pattern):
-        members = independent_set_with(complement(host), v, pattern.order)
-        if members is None:
-            return None
-        return dict(enumerate(members))
+        return None if members is None else dict(enumerate(members))
     for anchor in range(pattern.order):
         found = extend_partial_map(host, pattern, {anchor: v})
         if found is not None:
@@ -116,12 +119,8 @@ def has_induced_copy(host: Graph, pattern: Graph) -> bool:
     """Anywhere-in-the-host existence test, cheaper than anchored search."""
     if pattern.order < 1:
         raise ValueError("pattern must have at least one vertex")
-    if pattern.order > host.order:
-        return False
     if is_empty_graph(pattern):
-        return independence_number(host) >= pattern.order
-    if is_complete_graph(pattern):
-        return independence_number(complement(host)) >= pattern.order
+        return _independent_search(host.rows, (1 << host.order) - 1, pattern.order) is not None
     return extend_partial_map(host, pattern, {}) is not None
 
 

@@ -6,6 +6,7 @@ for the graph6 interchange format; the package itself never imports it.
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -281,6 +282,21 @@ class TestGraph6:
         with pytest.raises(Graph6Error) as exc:
             from_graph6("A" + chr(63 + 0b100001))
         assert "padding" in str(exc.value)
+
+    def test_decoder_streams_large_hosts(self):
+        # pairs are walked with two counters, never listed: 594,595 of them here
+        from fullgraph.constructions import h_vs_empty
+
+        g, _ = h_vs_empty(cycle(5), 1000)
+        s = to_graph6(g)
+        tracemalloc.start()
+        try:
+            decoded = from_graph6(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert decoded == g
+        assert peak < 10 * 2**20
 
     def test_decoder_accepts_trailing_newline(self):
         assert from_graph6("A_\n") == complete(2)

@@ -5,10 +5,13 @@ sharing no code with the search under test.
 """
 
 import itertools
+import json
 import random
 
 import pytest
 
+from fullgraph.cli import main
+from fullgraph.constructions import h_vs_empty
 from fullgraph.graphs import (
     Graph,
     complete,
@@ -16,7 +19,9 @@ from fullgraph.graphs import (
     cycle,
     empty,
     path,
+    relabeled,
     star,
+    to_graph6,
 )
 from fullgraph.verifier import (
     extend_partial_map,
@@ -230,3 +235,29 @@ class TestRecheckWitness:
         assert not recheck_witness(path(4), path(3), {0: 0, 1: 2, 2: 1})
         # non-edge where the pattern wants none but host has one
         assert not recheck_witness(complete(3), empty(3), {0: 0, 1: 1, 2: 2})
+
+
+class TestLargeHosts:
+    def test_relabeled_construction_is_full(self):
+        # candidate masks make the search independent of the host's labeling
+        host, _ = h_vs_empty(cycle(5), 1000)
+        perm = list(range(host.order))
+        random.Random(1091).shuffle(perm)
+        host = relabeled(host, perm)
+        rep = is_full(host, [cycle(5)])
+        assert rep.verdict
+        assert len(rep.coverages[0].witnesses) == host.order
+        for role_map in rep.coverages[0].witnesses.values():
+            assert recheck_witness(host, cycle(5), role_map)
+
+    def test_perfect_matching_against_half_edgeless(self, tmp_path, capsys):
+        # the independent-set search is iterative: 1199 levels deep is fine
+        host = Graph.from_edges(2400, [(2 * i, 2 * i + 1) for i in range(1200)])
+        rep = is_full(host, [empty(1200)])
+        assert rep.verdict
+        for v in (0, 1, 2399):
+            assert recheck_witness(host, empty(1200), rep.coverages[0].witnesses[v])
+        f = tmp_path / "matching.g6"
+        f.write_text(to_graph6(host) + "\n")
+        assert main(["verify", str(f), "--patterns", "E1200"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] is True
