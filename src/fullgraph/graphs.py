@@ -261,6 +261,7 @@ def _independent_search(rows: tuple[int, ...], pool: int, target: int) -> list[i
 
 
 def _max_independent_size(rows: tuple[int, ...], pool: int) -> int:
+    """Size of a largest independent set inside the bitmask ``pool``."""
     best: list[int] = []
     while (found := _independent_search(rows, pool, len(best) + 1)) is not None:
         best = found

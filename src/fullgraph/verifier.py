@@ -35,37 +35,29 @@ def extend_partial_map(host: Graph, pattern: Graph, pins: dict[int, int]) -> dic
 
     # pinned vertices first, then the static connectivity order: most placed
     # neighbours, then higher degree, then lower index (a mixed-radix key)
+    deg = [r.bit_count() for r in prows]
     order = list(pins)
     placed = sum(1 << q for q in pins)
     rest = [q for q in range(p) if q not in pins]
     while rest:
         top = best = -1
         for q in rest:
-            key = ((prows[q] & placed).bit_count() * p + prows[q].bit_count()) * p + p - 1 - q
+            key = ((prows[q] & placed).bit_count() * p + deg[q]) * p + p - 1 - q
             if key > top:
                 top, best = key, q
         rest.remove(best)
         order.append(best)
         placed |= 1 << best
 
-    # per level: the host vertices allowed (one if pinned), a bitmask of the
-    # earlier levels adjacent in the pattern, the host degree range
-    allowed, adj, lo, hi = [], [], [], []
+    # per level: the host vertices allowed (one if pinned) and the degree
+    # range, since an image needs as many neighbours and non-neighbours
     full = (1 << h) - 1
-    for i, q in enumerate(order):
-        row = prows[q]
-        allowed.append(1 << pins[q] if q in pins else full)
-        a = 0
-        for j in range(i):
-            if (row >> order[j]) & 1:
-                a |= 1 << j
-        adj.append(a)
-        d = row.bit_count()
-        lo.append(d)
-        hi.append(h - p + d)
+    allowed = [1 << pins[q] if q in pins else full for q in order]
+    lo = [deg[q] for q in order]
+    hi = [h - p + d for d in lo]
 
     images = [0] * p
-    cands = [0] * p
+    cands = [0] * p  # candidates of each level not yet tried
     cands[0] = allowed[0]
     used = i = 0
     while True:
@@ -89,9 +81,9 @@ def extend_partial_map(host: Graph, pattern: Graph, pins: dict[int, int]) -> dic
         if i == p:
             return dict(zip(order, images))
         c = allowed[i] & ~used
-        a = adj[i]
+        row = prows[order[i]]
         for j in range(i):
-            c &= hrows[images[j]] if (a >> j) & 1 else ~hrows[images[j]]
+            c &= hrows[images[j]] if (row >> order[j]) & 1 else ~hrows[images[j]]
         cands[i] = c
 
 
