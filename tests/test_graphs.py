@@ -10,6 +10,7 @@ import tracemalloc
 
 import pytest
 
+from fullgraph.constructions import h_vs_empty
 from fullgraph.graphs import (
     Graph,
     Graph6Error,
@@ -221,6 +222,14 @@ class TestIndependence:
                     else:
                         assert got is None
 
+    def test_deep_search_needs_no_recursion(self):
+        # one branching level per triangle, past the default recursion limit
+        k = 1010
+        g = disjoint_union(*[complete(3)] * k)
+        got = independent_set_with(g, 0, k)
+        assert len(got) == k and 0 in got
+        assert all(not g.adjacent(a, b) for a, b in itertools.combinations(got, 2))
+
     def test_independent_set_with_validates(self):
         with pytest.raises(ValueError):
             independent_set_with(path(3), 5, 1)
@@ -285,8 +294,6 @@ class TestGraph6:
 
     def test_decoder_streams_large_hosts(self):
         # pairs are walked with two counters, never listed: 594,595 of them here
-        from fullgraph.constructions import h_vs_empty
-
         g, _ = h_vs_empty(cycle(5), 1000)
         s = to_graph6(g)
         tracemalloc.start()

@@ -251,7 +251,7 @@ class TestLargeHosts:
             assert recheck_witness(host, cycle(5), role_map)
 
     def test_perfect_matching_against_half_edgeless(self, tmp_path, capsys):
-        # the independent-set search is iterative: 1199 levels deep is fine
+        # raised RecursionError while the independent-set search recursed once per member
         host = Graph.from_edges(2400, [(2 * i, 2 * i + 1) for i in range(1200)])
         rep = is_full(host, [empty(1200)])
         assert rep.verdict
