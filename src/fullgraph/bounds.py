@@ -26,6 +26,10 @@ from .graphs import (
 )
 
 
+class InternalInvariantError(RuntimeError):
+    """A self-check failed: the package's own logic is at fault."""
+
+
 def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
@@ -385,5 +389,5 @@ def summarize(patterns: list[Graph], n: int | None = None) -> BoundSummary:
     summary = BoundSummary(instance, entries)
     problems = summary.violations()
     if problems:
-        raise RuntimeError("bound summary is internally inconsistent: " + "; ".join(problems))
+        raise InternalInvariantError("bound summary is internally inconsistent: " + "; ".join(problems))
     return summary

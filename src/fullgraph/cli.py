@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import bounds, constructions, designs, oracle, verifier
-from .constructions import InternalInvariantError
+from .bounds import InternalInvariantError
 from .graphs import Graph6Error, empty, from_graph6, star, to_graph6
 from .patterns import parse_pattern_list
 
@@ -23,7 +23,8 @@ _THEOREMS = ("cyclic", "design", "h_vs_empty", "star", "complete_bipartite", "de
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    json.dump(payload, sys.stdout, sort_keys=True, indent=2)
+    sys.stdout.write("\n")
 
 
 def _read_host(path: str):

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import bounds
+from .bounds import InternalInvariantError
 from .designs import ResolvableDesign, validate_design
 from .graphs import (
     Graph,
@@ -21,10 +22,6 @@ from .graphs import (
     min_degree,
     to_graph6,
 )
-
-
-class InternalInvariantError(RuntimeError):
-    """A build-time self-check failed; the construction logic is at fault."""
 
 
 @dataclass(frozen=True)

@@ -87,6 +87,13 @@ class Graph:
         return cls(order, tuple(rows))
 
 
+def _trusted_graph(order: int, rows: tuple[int, ...]) -> Graph:
+    """A Graph built without validation, for rows symmetric and loop-free by construction."""
+    g = object.__new__(Graph)
+    g.__dict__.update(order=order, rows=rows)
+    return g
+
+
 # -- basic families --------------------------------------------------------
 
 

@@ -7,11 +7,13 @@ whose partial certificate already exceeds the best are cut, as are target-cell
 candidates equivalent to an already-tried one under an automorphism fixing the
 current prefix pointwise.
 
-Enumeration: each canonical representative of order n-1 is extended by one
-vertex over all neighbourhood subsets; a candidate survives only when its new
-vertex sits in the same automorphism orbit as the vertex the canonical
-labeling puts last (so exactly one parent class reconstructs each child
-class), with certificate deduplication among the survivors of one parent.
+Enumeration, by canonical augmentation (McKay 1998): each representative of
+order n-1 is extended by one vertex over the least neighbourhood subset of
+each orbit of its automorphism group.  A child survives only when its new
+vertex lies in the automorphism orbit of the vertex the canonical labeling
+puts last, so exactly one parent class and one subset orbit reconstruct each
+child class.  The labeling's pruning proves the automorphisms for free: their
+generators decide the child's acceptance and, memoized, its subset orbits.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
-from .graphs import Graph, empty, from_graph6, relabeled, to_graph6
+from .graphs import Graph, _trusted_graph, relabeled, to_graph6
 from .verifier import extend_partial_map, has_induced_copy, is_full
 
 CANONICAL_ORDER_CAP = 16
@@ -34,17 +36,18 @@ _SEARCH_CHUNK = 512
 # -- canonical labeling -------------------------------------------------------
 
 
-def _refine(rows: tuple[int, ...], partition: list[list[int]]) -> list[list[int]]:
-    """Split cells by neighbour counts into every cell until stable."""
-    while True:
-        masks = []
-        for cell in partition:
-            m = 0
-            for v in cell:
-                m |= 1 << v
-            masks.append(m)
+def _refine(rows: tuple[int, ...], partition: list[list[int]], splitters: list[list[int]]) -> list[list[int]]:
+    """Split cells by neighbour counts into the cells until stable.
+
+    Each round splits every cell by its counts into the round's cells, in
+    sorted key order.  Keys hold only the counts that may differ within a
+    cell: into ``splitters`` in the first round, then into the pieces of the
+    cells just split, less the last piece of each, whose count follows.
+    """
+    while splitters:
+        masks = [sum(1 << v for v in cell) for cell in splitters]
         new: list[list[int]] = []
-        changed = False
+        splitters = []
         for cell in partition:
             if len(cell) == 1:
                 new.append(cell)
@@ -56,16 +59,19 @@ def _refine(rows: tuple[int, ...], partition: list[list[int]]) -> list[list[int]
             if len(keyed) == 1:
                 new.append(cell)
             else:
-                changed = True
-                for key in sorted(keyed):
-                    new.append(keyed[key])
-        if not changed:
-            return new
+                pieces = [keyed[key] for key in sorted(keyed)]
+                new.extend(pieces)
+                splitters.extend(pieces[:-1])
         partition = new
+    return partition
 
 
-def _canonical_search(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Return (labeling, certificate): labeling[i] is the old vertex at position i."""
+def _canonical_search(g: Graph, gens: list | None = None) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Return (labeling, certificate): labeling[i] is the old vertex at position i.
+
+    Every automorphism proved by target-cell pruning is appended to ``gens``
+    (if given) as a permutation tuple; together they generate Aut(g).
+    """
     n = g.order
     if n == 0:
         return (), ()
@@ -73,8 +79,8 @@ def _canonical_search(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     best_cert: list[tuple[int, ...]] = [None]  # type: ignore[list-item]
     best_lab: list[tuple[int, ...]] = [None]   # type: ignore[list-item]
 
-    def walk(partition: list[list[int]]) -> None:
-        partition = _refine(rows, partition)
+    def walk(partition: list[list[int]], splitters: list[list[int]]) -> None:
+        partition = _refine(rows, partition, splitters)
         prefix: list[int] = []
         for cell in partition:
             if len(cell) == 1:
@@ -115,24 +121,20 @@ def _canonical_search(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
                     continue
                 pins = dict(pins_base)
                 pins[v] = u
-                if extend_partial_map(g, g, pins) is not None:
+                if (found := extend_partial_map(g, g, pins)) is not None:
+                    if gens is not None:
+                        gens.append(tuple(map(found.__getitem__, range(n))))
                     skip = True
                     break
             if skip:
                 continue
             rest = [u for u in partition[idx] if u != v]
             child = partition[:idx] + [[v], rest] + partition[idx + 1:]
-            walk(child)
+            walk(child, [[v]])  # partition was equitable
             tried.append(v)
 
-    walk([list(range(n))])
+    walk([list(range(n))], [list(range(n))])
     return best_lab[0], best_cert[0]
-
-
-def canonical_labeling(g: Graph) -> tuple[int, ...]:
-    if g.order > CANONICAL_ORDER_CAP:
-        raise ValueError(f"canonical labeling capped at order {CANONICAL_ORDER_CAP}")
-    return _canonical_search(g)[0]
 
 
 def canonical_form(g: Graph) -> bytes:
@@ -149,47 +151,74 @@ def canonical_g6(g: Graph) -> str:
 
 # -- isomorph-free enumeration ------------------------------------------------
 
-_REPS: dict[int, list[str]] = {}
+# order -> representatives, each packed as its rows (one byte per row up to
+# order 8, two from order 9) then its automorphism generators (a byte per image)
+_REPS: dict[int, list[bytes]] = {1: [bytes(1)]}
 
 
-def _augmented(parent: Graph, subset: int) -> Graph:
-    n = parent.order
-    rows = [r | (((subset >> v) & 1) << n) for v, r in enumerate(parent.rows)]
-    rows.append(subset)
-    return Graph(n + 1, tuple(rows))
+def _pack(rows: tuple[int, ...], gens: list[tuple[int, ...]]) -> bytes:
+    width = (len(rows) + 7) // 8
+    return b"".join(r.to_bytes(width, "little") for r in rows) + bytes(x for p in gens for x in p)
 
 
-def _children(parent_g6: str, z: int) -> Iterator[str]:
-    """Accepted one-vertex extensions of one parent representative (z = parent order)."""
-    parent = from_graph6(parent_g6)
-    seen: set[tuple[int, ...]] = set()
+def _unpack(data: bytes, n: int) -> tuple[tuple[int, ...], list[bytes]]:
+    width = (n + 7) // 8
+    rows = tuple(int.from_bytes(data[i:i + width], "little") for i in range(0, n * width, width))
+    return rows, [data[i:i + n] for i in range(n * width, len(data), n)]
+
+
+def _orbit(x: int, maps: list) -> set[int]:
+    """Orbit of x under the group generated by ``maps``, each indexed as x -> image."""
+    seen, stack = {x}, [x]
+    while stack:
+        y = stack.pop()
+        for m in maps:
+            if m[y] not in seen:
+                seen.add(m[y])
+                stack.append(m[y])
+    return seen
+
+
+def _children(parent: bytes, z: int) -> Iterator[bytes]:
+    """Accepted one-vertex extensions of a packed parent representative (z = parent order).
+
+    Tries the least subset of each Aut(parent) orbit as z's neighbourhood and
+    accepts z when it is in the orbit of the canonically last vertex.
+    """
+    rows, gens = _unpack(parent, z)
+    images = []  # per generator, the image of every subset
+    for p in gens:
+        img = [0] * (1 << z)
+        for s in range(1, 1 << z):
+            low = s & -s
+            img[s] = img[s ^ low] | 1 << p[low.bit_length() - 1]
+        images.append(img)
+    # the canonically last vertex has the largest degree, so z (of degree
+    # |subset|) needs every parent vertex to end with no more neighbours
+    at_least = [sum(1 << v for v, r in enumerate(rows) if r.bit_count() >= k) for k in range(z + 2)]
+    covered: set[int] = set()
     for subset in range(1 << z):
-        child = _augmented(parent, subset)
-        lab, cert = _canonical_search(child)
-        w = lab[-1]
-        if w != z:
-            # accept only if the new vertex z could equally have been the
-            # canonically-last one: some automorphism must carry z to w
-            if child.degree(w) != child.degree(z):
-                continue
-            if extend_partial_map(child, child, {z: w}) is None:
-                continue
-        if cert in seen:
+        if subset in covered:
             continue
-        seen.add(cert)
-        yield to_graph6(child)
+        if images:
+            covered |= _orbit(subset, images)
+        k = subset.bit_count()
+        if at_least[k + 1] or subset & at_least[k]:
+            continue
+        child_rows = tuple(r | ((subset >> v) & 1) << z for v, r in enumerate(rows)) + (subset,)
+        child_gens: list[tuple[int, ...]] = []
+        lab, _ = _canonical_search(_trusted_graph(z + 1, child_rows), child_gens)
+        if z in _orbit(lab[-1], child_gens):
+            yield _pack(child_rows, child_gens)
 
 
-def _representatives(order: int) -> list[str]:
+def _representatives(order: int) -> list[bytes]:
     if order not in _REPS:
-        if order == 1:
-            _REPS[1] = [to_graph6(empty(1))]
-        else:
-            _REPS[order] = [
-                g6
-                for parent_g6 in _representatives(order - 1)
-                for g6 in _children(parent_g6, order - 1)
-            ]
+        _REPS[order] = [
+            child
+            for parent in _representatives(order - 1)
+            for child in _children(parent, order - 1)
+        ]
     return _REPS[order]
 
 
@@ -203,14 +232,14 @@ def enumerate_graphs(order: int) -> Iterator[Graph]:
     if not 1 <= order <= ENUMERATION_ORDER_CAP:
         raise ValueError(f"enumeration supports orders 1..{ENUMERATION_ORDER_CAP}")
     if order in _REPS or order < ENUMERATION_ORDER_CAP:
-        for g6 in _representatives(order):
-            yield from_graph6(g6)
+        for data in _representatives(order):
+            yield _trusted_graph(order, _unpack(data, order)[0])
         return
     collected = []
-    for parent_g6 in _representatives(order - 1):
-        for g6 in _children(parent_g6, order - 1):
-            collected.append(g6)
-            yield from_graph6(g6)
+    for parent in _representatives(order - 1):
+        for data in _children(parent, order - 1):
+            collected.append(data)
+            yield _trusted_graph(order, _unpack(data, order)[0])
     _REPS[order] = collected
 
 

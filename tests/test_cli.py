@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
-from fullgraph.graphs import from_graph6
+from fullgraph import bounds
+from fullgraph.cli import main
+from fullgraph.graphs import cycle, from_graph6, to_graph6
 from fullgraph.verifier import is_full
 from fullgraph.patterns import parse_pattern_list
 
@@ -136,6 +138,14 @@ class TestVerify:
         p = run("verify", str(f), "--patterns", "X9")
         assert p.returncode == 2
 
+    def test_stdout_is_the_indented_report(self, tmp_path):
+        host = cycle(8)
+        f = tmp_path / "c8.g6"
+        f.write_text(to_graph6(host) + "\n")
+        p = run("verify", str(f), "--patterns", "P3,E3")
+        report = is_full(host, parse_pattern_list("P3,E3"))
+        assert p.stdout == json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+
 
 class TestBound:
     def test_egh(self):
@@ -160,6 +170,11 @@ class TestBound:
     def test_rejects_egh_below_two(self):
         p = run("bound", "--egh", "1", "5")
         assert p.returncode == 2
+
+    def test_inconsistent_summary_exits_three(self, monkeypatch, capsys):
+        monkeypatch.setattr(bounds.BoundSummary, "violations", lambda self: ["lower 9 exceeds upper 8"])
+        assert main(["bound", "--patterns", "K2", "--n", "5"]) == 3
+        assert "internal invariant breach" in capsys.readouterr().err
 
 
 class TestSearch:

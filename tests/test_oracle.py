@@ -5,6 +5,8 @@ canonicalizing the entire labeled space; the larger counts are standard
 sequence values asserted directly.
 """
 
+import hashlib
+import itertools
 import json
 import random
 
@@ -25,14 +27,22 @@ from fullgraph.graphs import (
 from fullgraph.oracle import (
     ENUMERATION_ORDER_CAP,
     SearchResult,
+    _canonical_search,
     canonical_form,
     canonical_g6,
-    canonical_labeling,
     enumerate_graphs,
     f_exact,
     resolve_cache_dir,
 )
 from fullgraph.verifier import is_full
+
+
+def canonical_labeling(g):
+    return _canonical_search(g)[0]
+
+
+def enumeration_digest(n):
+    return hashlib.sha1("\n".join(to_graph6(g) for g in enumerate_graphs(n)).encode()).hexdigest()[:12]
 
 
 def labeled_space(n):
@@ -89,6 +99,57 @@ class TestCanonicalForm:
         assert canonical_g6(g).encode() == canonical_form(g)
 
 
+def orbits_of(n, perms):
+    """Vertex orbits of the group generated by ``perms``, as a set of frozensets."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for p in perms:
+        for v in range(n):
+            parent[find(v)] = find(p[v])
+    groups = {}
+    for v in range(n):
+        groups.setdefault(find(v), set()).add(v)
+    return {frozenset(c) for c in groups.values()}
+
+
+class TestRecordedGenerators:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_generate_the_automorphism_group(self, n):
+        for g in enumerate_graphs(n):
+            rows = g.rows
+            group = {
+                p for p in itertools.permutations(range(n))
+                if all(rows[p[v]] == sum(1 << p[u] for u in range(n) if rows[v] >> u & 1) for v in range(n))
+            }
+            gens = []
+            _canonical_search(g, gens)
+            assert all(p in group for p in gens)
+            assert orbits_of(n, gens) == orbits_of(n, group)
+            identity = tuple(range(n))
+            closure, frontier = {identity}, [identity]
+            while frontier:
+                a = frontier.pop()
+                for p in gens:
+                    b = tuple(p[a[v]] for v in range(n))
+                    if b not in closure:
+                        closure.add(b)
+                        frontier.append(b)
+            assert len(closure) == len(group)
+
+    def test_recording_leaves_the_labeling_unchanged(self):
+        rng = random.Random(4242)
+        for _ in range(100):
+            n = rng.randint(1, 9)
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+            g = Graph.from_edges(n, edges)
+            assert _canonical_search(g, []) == _canonical_search(g)
+
+
 class TestEnumeration:
     @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34), (6, 156), (7, 1044)])
     def test_counts(self, n, count):
@@ -109,6 +170,15 @@ class TestEnumeration:
         for n in range(1, 7):
             assert all(g.order == n for g in enumerate_graphs(n))
 
+    @pytest.mark.parametrize("n,digest", [
+        (1, "9a78211436f6"), (2, "003411611a97"), (3, "e7116b284492"), (4, "d5a6e0198834"),
+        (5, "95eaecf933fa"), (6, "7dd100699f9c"), (7, "69609c4c30e3"),
+    ])
+    def test_sequence_is_pinned(self, n, digest):
+        # graph6 of every representative, in order: the sequence itself is part of
+        # the contract, since witnesses and cache records depend on it
+        assert enumeration_digest(n) == digest
+
     def test_order_cap(self):
         with pytest.raises(ValueError):
             next(enumerate_graphs(ENUMERATION_ORDER_CAP + 1))
@@ -123,6 +193,12 @@ class TestEnumerationLarge:
 
     def test_order_nine_count(self):
         assert sum(1 for _ in enumerate_graphs(9)) == 274668
+
+    def test_order_eight_sequence_is_pinned(self):
+        assert enumeration_digest(8) == "19a4a06bbc42"
+
+    def test_order_nine_sequence_is_pinned(self):
+        assert enumeration_digest(9) == "5ea5bfed2144"
 
 
 class TestFExact:
