@@ -1,5 +1,8 @@
 """Every builder must deliver its claimed order and pass the fullness check."""
 
+import hashlib
+import json
+
 import pytest
 
 from fullgraph.bounds import cyclic_upper, star_exact, star_upper
@@ -21,7 +24,9 @@ from fullgraph.graphs import (
     from_graph6,
     path,
     star,
+    to_graph6,
 )
+from fullgraph.patterns import parse_pattern, parse_pattern_list
 from fullgraph.verifier import is_full
 
 
@@ -330,3 +335,40 @@ class TestRecipeSerialization:
         for recipe in builds:
             text = json.dumps(recipe.to_dict(), sort_keys=True)
             assert json.loads(text)["claimed_order"] == recipe.claimed_order
+
+
+class TestBuildsArePinned:
+    """Every builder's graph6 output and recipe, pinned by one digest."""
+
+    CYCLIC = ["K2", "E2", "K3", "E3", "P3", "K4", "E4", "C4", "P4", "S4", "C5", "K2+E1"]
+
+    def _corpus(self):
+        pats = [parse_pattern(t) for t in self.CYCLIC]
+        yield from (cyclic_full([p]) for p in pats)
+        yield from (cyclic_full([a, b]) for a in pats for b in pats)
+        yield cyclic_full(parse_pattern_list("K6,E6,P6,C6"))
+        for q in (3, 4, 5, 7, 8, 9):
+            yield design_full(parse_pattern_list(f"K{q},E{q},P{q},C{q}"), affine_plane(q))
+        for m in range(2, 11):
+            for n in (m, m + 3, 50, 200):
+                yield star_full(m, n)
+        yield star_full(10, 1000)
+        for m in range(3, 9):
+            for n in range(2, m):
+                yield complete_bipartite_full(m, n)
+        for h in ("C5", "K4", "P3", "K3", "S4"):
+            for n in (40, 160, 400):
+                yield h_vs_empty(parse_pattern(h), n)
+        for h in ("K2+E1", "P3+E1", "E2", "K3+E1"):
+            for n in range(2, 8):
+                try:
+                    yield delta_zero_construction(parse_pattern(h), n)
+                except ValueError:
+                    pass
+
+    def test_digest(self):
+        lines = [to_graph6(g) + " " + json.dumps(r.to_dict(), sort_keys=True)
+                 for g, r in self._corpus()]
+        assert len(lines) == 260
+        digest = hashlib.sha1("\n".join(lines).encode()).hexdigest()[:12]
+        assert digest == "91a66a3ef362"
