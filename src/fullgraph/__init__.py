@@ -6,17 +6,14 @@ instances by exhaustive isomorph-free search.
 """
 
 from .bounds import (
-    egh_formula,
     cyclic_upper,
-    design_upper,
     delta_zero_exact,
+    design_upper,
+    egh_formula,
     general_lower_bound,
     h_vs_empty_upper,
     star_closed_form,
     star_exact,
-    star_lower,
-    star_trivial_lower,
-    star_upper,
     summarize,
 )
 from .constructions import (
@@ -28,21 +25,11 @@ from .constructions import (
     h_vs_empty,
     star_full,
 )
-from .designs import ResolvableDesign, affine_plane, field, validate_design
-from .graphs import (
-    Graph,
-    Graph6Error,
-    alpha_with_vertex,
-    complement,
-    duplicate_vertex,
-    from_graph6,
-    independence_number,
-    induced_subgraph,
-    to_graph6,
-)
-from .oracle import SearchResult, canonical_form, enumerate_graphs, f_exact
+from .designs import ResolvableDesign, affine_plane
+from .graphs import Graph, Graph6Error, from_graph6, to_graph6
+from .oracle import SearchResult, enumerate_graphs, f_exact
 from .patterns import parse_pattern, parse_pattern_list
-from .verifier import FullnessReport, find_induced_copy_containing, is_full, recheck_witness
+from .verifier import FullnessReport, is_full, recheck_witness
 
 __all__ = [
     "Graph",
@@ -52,9 +39,6 @@ __all__ = [
     "ResolvableDesign",
     "SearchResult",
     "affine_plane",
-    "alpha_with_vertex",
-    "canonical_form",
-    "complement",
     "complete_bipartite_full",
     "cyclic_full",
     "cyclic_upper",
@@ -62,18 +46,13 @@ __all__ = [
     "delta_zero_exact",
     "design_full",
     "design_upper",
-    "duplicate_vertex",
     "egh_formula",
     "enumerate_graphs",
     "f_exact",
-    "field",
-    "find_induced_copy_containing",
     "from_graph6",
     "general_lower_bound",
     "h_vs_empty",
     "h_vs_empty_upper",
-    "independence_number",
-    "induced_subgraph",
     "is_full",
     "parse_pattern",
     "parse_pattern_list",
@@ -81,10 +60,6 @@ __all__ = [
     "star_closed_form",
     "star_exact",
     "star_full",
-    "star_lower",
-    "star_trivial_lower",
-    "star_upper",
     "summarize",
     "to_graph6",
-    "validate_design",
 ]

@@ -63,6 +63,10 @@ def cyclic_upper(patterns: list[Graph]) -> int:
     """Order of the ring construction: twice the sum of (order - 1)."""
     if not patterns:
         raise ValueError("at least one pattern is required")
+    for i, p in enumerate(patterns):
+        if p.order < 2:
+            raise ValueError(f"pattern {i} has order {p.order}; single-vertex patterns "
+                             "contribute an empty block and are not supported")
     return 2 * sum(p.order - 1 for p in patterns)
 
 
@@ -78,18 +82,26 @@ def design_upper(k: int) -> int:
     return q * q
 
 
-def default_ring_count(delta: int, m_prime: int, n: int) -> int:
-    """Default number of neighbourhood blocks for the pattern-vs-independent-set build."""
-    r = ceil_sqrt_ratio(n, delta) + 1
-    if r < 3 * m_prime:
-        r = 3 * m_prime
-    if r < max(3 * m_prime, 2):
-        raise ValueError(f"block count r={r} below required {max(3 * m_prime, 2)}")
+def default_ring_count(delta: int, m_prime: int, n: int, r: int | None = None) -> int:
+    """Number of neighbourhood blocks for the pattern-vs-independent-set build.
+
+    An explicit ``r`` is checked against the same constraints the default meets.
+    """
+    if r is None:
+        r = max(ceil_sqrt_ratio(n, delta) + 1, 3 * m_prime)
+    elif r < max(3 * m_prime, 2):
+        raise ValueError(f"r={r} below required {max(3 * m_prime, 2)} (= max(3*m', 2))")
     if n < r:
         # the last independent-set part has ceil(n/(r-1)) - 1 vertices, so
         # n >= r keeps every part nonempty and every block coverable
         raise ValueError(f"n={n} too small for the independent-set split over {r} parts")
     return r
+
+
+def h_vs_empty_order(delta: int, n: int, r: int) -> int:
+    """Order of the pattern-vs-independent-set build with r blocks: n - 1 + delta*r + ceil(n/(r-1))."""
+    return n - 1 + delta * r + ceil_div(n, r - 1)
+
 
 HEmptyUpper = namedtuple("HEmptyUpper", ["bound", "construction_order", "valid"])
 
@@ -109,8 +121,7 @@ def h_vs_empty_upper(h: Graph, n: int) -> HEmptyUpper:
                          "(use the isolated-vertex route instead)")
     m_prime = h.order - delta - 1
     bound = n + ceil_sqrt(4 * delta * n) + 2 * delta
-    r = default_ring_count(delta, m_prime, n)
-    construction_order = n - 1 + delta * r + ceil_div(n, r - 1)
+    construction_order = h_vs_empty_order(delta, n, default_ring_count(delta, m_prime, n))
     valid = n >= 9 * delta * m_prime * m_prime
     return HEmptyUpper(bound, construction_order, valid)
 
@@ -134,6 +145,11 @@ def star_trivial_lower(m: int, n: int) -> int:
     return n + m - 1
 
 
+def star_order(m: int, n: int, k: int) -> int:
+    """Order n + max(k + ceil((n-1)/k), 2m - 3 - k) of the star build with k leaves per center."""
+    return n + max(k + ceil_div(n - 1, k), 2 * m - 3 - k)
+
+
 StarUpper = namedtuple("StarUpper", ["value", "k"])
 
 
@@ -146,7 +162,7 @@ def star_upper(m: int, n: int) -> StarUpper:
         raise ValueError("requires 2 <= m <= n")
     best_value, best_k = None, None
     for k in range(1, n):
-        value = n + max(k + ceil_div(n - 1, k), 2 * m - 3 - k)
+        value = star_order(m, n, k)
         if best_value is None or value < best_value:
             best_value, best_k = value, k
     return StarUpper(best_value, best_k)
@@ -254,35 +270,16 @@ class BoundSummary:
         return min(values) if values else None
 
     def violations(self) -> list[str]:
-        problems = []
-        lowers = self.applicable("lower")
-        uppers = self.applicable("upper")
-        exacts = self.applicable("exact")
-        for lo in lowers:
-            for up in uppers:
-                if lo.value > up.value:
-                    problems.append(f"lower {lo.name}={lo.value} exceeds upper {up.name}={up.value}")
-        for ex in exacts:
-            for lo in lowers:
-                if lo.value > ex.value:
-                    problems.append(f"lower {lo.name}={lo.value} exceeds exact {ex.name}={ex.value}")
-            for up in uppers:
-                if ex.value > up.value:
-                    problems.append(f"exact {ex.name}={ex.value} exceeds upper {up.name}={up.value}")
-        for i, e1 in enumerate(exacts):
-            for e2 in exacts[i + 1:]:
-                if e1.value != e2.value:
-                    problems.append(f"exact entries disagree: {e1.name}={e1.value}, {e2.name}={e2.value}")
-        return problems
-
-
-def _smallest_plane_order(at_least: int) -> int | None:
-    q = max(2, at_least)
-    while q <= 1000:
-        if designs.is_supported_field_order(q):
-            return q
-        q += 1
-    return None
+        """The largest lower-or-exact entry if it exceeds the smallest upper-or-exact one."""
+        lows = self.applicable("lower") + self.applicable("exact")
+        ups = self.applicable("upper") + self.applicable("exact")
+        if not lows or not ups:
+            return []
+        lo = max(lows, key=lambda e: e.value)
+        up = min(ups, key=lambda e: e.value)
+        if lo.value <= up.value:
+            return []
+        return [f"{lo.kind} {lo.name}={lo.value} exceeds {up.kind} {up.name}={up.value}"]
 
 
 def _pair_entries(h1: Graph, h2: Graph, label: str) -> list[BoundEntry]:
@@ -310,22 +307,28 @@ def summarize(patterns: list[Graph], n: int | None = None) -> BoundSummary:
     from .graphs import empty as empty_graph
 
     if n is not None:
+        if n < 1:
+            raise ValueError("n must be at least 1")
         patterns = list(patterns) + [empty_graph(n)]
     if not patterns:
         raise ValueError("at least one pattern is required")
     orders = [p.order for p in patterns]
     instance = {"patterns": [to_graph6(p) for p in patterns], "orders": orders}
-    entries = [
-        BoundEntry("pattern_order", "lower", max(orders), True,
-                   reason="any qualifying graph contains each pattern"),
-        BoundEntry("cyclic_upper", "upper", cyclic_upper(patterns), True),
-    ]
+    entries = [BoundEntry("pattern_order", "lower", max(orders), True,
+                          reason="any qualifying graph contains each pattern")]
+    try:
+        entries.append(BoundEntry("cyclic_upper", "upper", cyclic_upper(patterns), True))
+    except ValueError as exc:
+        entries.append(BoundEntry("cyclic_upper", "upper", None, False, reason=str(exc)))
 
     t = len(patterns)
-    q = _smallest_plane_order(max(max(orders), t - 1))
-    if q is not None:
-        entries.append(BoundEntry("design_upper", "upper", q * q, True,
-                                  details={"plane_order": q}))
+    for q in range(max(2, max(orders), t - 1), 1001):
+        try:
+            value = design_upper(q + 1)
+        except designs.UnsupportedOrderError:
+            continue
+        entries.append(BoundEntry("design_upper", "upper", value, True, details={"plane_order": q}))
+        break
 
     if t == 2:
         h1, h2 = patterns

@@ -2,26 +2,23 @@
 
 Each builder returns ``(graph, recipe)`` where the recipe records the
 construction family, its parameters, and the order the construction
-promises.  Builders are deterministic: identical inputs produce
-bit-identical graphs.
+promises.  Every builder writes its vertex pairs through one
+``_EdgeLedger``, takes its promised order from the matching ``bounds``
+function, and returns through ``_finish``, which checks the built order
+against that promise.  Builders are deterministic: identical inputs
+produce bit-identical graphs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from typing import Sequence
 
 from . import bounds
 from .bounds import InternalInvariantError
 from .designs import ResolvableDesign, validate_design
-from .graphs import (
-    Graph,
-    alpha_with_vertex,
-    complete_bipartite,
-    duplicate_vertex,
-    induced_subgraph,
-    min_degree,
-    to_graph6,
-)
+from .graphs import Graph, duplicate_vertex, min_degree, to_graph6
 
 
 @dataclass(frozen=True)
@@ -41,8 +38,8 @@ class ConstructionRecipe:
 class _EdgeLedger:
     """Pairwise edge decisions with conflict detection.
 
-    Every rule states both the edges and the non-edges it needs; a pair
-    claimed twice must be claimed identically.
+    Every rule states the pairs it needs; a pair claimed twice must be
+    claimed identically.  Pairs never claimed are non-edges.
     """
 
     def __init__(self):
@@ -58,8 +55,20 @@ class _EdgeLedger:
         elif prior != flag:
             raise InternalInvariantError(f"conflicting requirements for pair {key}")
 
+    def place(self, pattern: Graph, roles: Sequence[int], at: Sequence[int]) -> None:
+        """Claim every pair (at[i], at[j]) as an edge exactly when (roles[i], roles[j]) is one."""
+        for i, j in combinations(range(len(at)), 2):
+            self.require(at[i], at[j], pattern.adjacent(roles[i], roles[j]))
+
     def build(self, order: int) -> Graph:
         return Graph.from_edges(order, [pair for pair, flag in self.decisions.items() if flag])
+
+
+def _finish(g: Graph, tag: str, parameters: dict, claimed: int) -> tuple[Graph, ConstructionRecipe]:
+    """Check the built order against the order its bound claims, and record the recipe."""
+    if g.order != claimed:
+        raise InternalInvariantError(f"{tag}: built order {g.order} != claimed {claimed}")
+    return g, ConstructionRecipe(tag, parameters, claimed)
 
 
 def _min_degree_vertex(g: Graph) -> int:
@@ -77,79 +86,58 @@ def cyclic_full(patterns: list[Graph]) -> tuple[Graph, ConstructionRecipe]:
     pattern using its block plus one vertex from the previous block.
     Order: twice the sum of (pattern order - 1).
     """
-    if not patterns:
-        raise ValueError("at least one pattern is required")
-    for i, p in enumerate(patterns):
-        if p.order < 2:
-            raise ValueError(f"pattern {i} has order {p.order}; single-vertex patterns "
-                             "contribute an empty block and are not supported")
+    claimed = bounds.cyclic_upper(patterns)
     k = len(patterns)
-    reduced = []      # per pattern: (block graph, image of N(u) after deletion)
-    removed = []
-    for p in patterns:
-        u = _min_degree_vertex(p)
+    removed = [_min_degree_vertex(p) for p in patterns]
+    blocks = []  # per ring block: (pattern, kept vertices, positions of N(u) among them)
+    for p, u in zip(patterns, removed):
         keep = [v for v in range(p.order) if v != u]
-        block = induced_subgraph(p, keep)
-        nbrs = tuple(i for i, v in enumerate(keep) if p.adjacent(u, v))
-        reduced.append((block, nbrs))
-        removed.append(u)
-
+        blocks.append((p, keep, [i for i, v in enumerate(keep) if p.adjacent(u, v)]))
+    blocks *= 2
     starts = []
-    rows_order = 0
-    blocks = []
-    for r in range(2 * k):
-        block, nbrs = reduced[r % k]
-        starts.append(rows_order)
-        blocks.append((block, nbrs))
-        rows_order += block.order
+    total = 0
+    for _, keep, _ in blocks:
+        starts.append(total)
+        total += len(keep)
 
-    edges = []
-    for r in range(2 * k):
-        block, _ = blocks[r]
-        start = starts[r]
-        edges.extend((start + a, start + b) for a, b in block.edges())
-    span = range(1, k) if k >= 2 else range(1, 2)
-    for r in range(2 * k):
-        block, _ = blocks[r]
-        for j in span:
+    ledger = _EdgeLedger()
+    for (p, keep, _), start in zip(blocks, starts):
+        ledger.place(p, keep, range(start, start + len(keep)))
+    # cross pairs claim edges only: with k = 1 the two blocks reach each
+    # other, and the graph is the union of both edge sets
+    for r, (_, keep, _) in enumerate(blocks):
+        for j in range(1, max(k, 2)):
             t = (r + j) % (2 * k)
-            _, tn = blocks[t]
-            edges.extend(
-                (starts[r] + a, starts[t] + b)
-                for a in range(block.order)
-                for b in tn
-            )
-    g = Graph.from_edges(rows_order, set((min(e), max(e)) for e in edges))
+            for a in range(len(keep)):
+                for b in blocks[t][2]:
+                    ledger.require(starts[r] + a, starts[t] + b, True)
 
-    claimed = 2 * sum(p.order - 1 for p in patterns)
-    if g.order != claimed:
-        raise InternalInvariantError(f"built order {g.order} != claimed {claimed}")
-    recipe = ConstructionRecipe(
-        "cyclic",
-        {
-            "patterns": [to_graph6(p) for p in patterns],
-            "removed_vertices": removed,
-            "block_starts": starts,
-            "block_orders": [b.order for b, _ in blocks],
-        },
-        claimed,
-    )
-    return g, recipe
+    parameters = {
+        "patterns": [to_graph6(p) for p in patterns],
+        "removed_vertices": removed,
+        "block_starts": starts,
+        "block_orders": [len(keep) for _, keep, _ in blocks],
+    }
+    return _finish(ledger.build(total), "cyclic", parameters, claimed)
 
 
 def design_full(patterns: list[Graph], design: ResolvableDesign) -> tuple[Graph, ConstructionRecipe]:
-    """Overlay one pattern per parallel class of a resolvable design.
+    """Overlay one pattern per parallel class of an affine plane.
 
     Patterns are padded to the block size by repeatedly duplicating vertex 0
     as a false twin, then written onto every block of their class (block
-    points ascending against pattern vertices ascending).  Distinct blocks
-    share at most one point, so no vertex pair is written twice.
+    points ascending against pattern vertices ascending).  The design is
+    validated first, so every point pair lies in exactly one block.
     """
     if not patterns:
         raise ValueError("at least one pattern is required")
     problems = validate_design(design)
     if problems:
         raise ValueError("invalid design: " + "; ".join(problems[:3]))
+    claimed = bounds.design_upper(design.block_size + 1)
+    if design.point_count != claimed:
+        raise ValueError(f"the overlay needs an affine plane; this design has "
+                         f"{design.point_count} points in blocks of {design.block_size}")
     t = len(patterns)
     if t > len(design.classes):
         raise ValueError(f"{t} patterns but the design has only {len(design.classes)} classes")
@@ -164,33 +152,18 @@ def design_full(patterns: list[Graph], design: ResolvableDesign) -> tuple[Graph,
             q = duplicate_vertex(q, 0)
         padded.append(q)
 
-    decided: set[tuple[int, int]] = set()
-    edges = []
-    for i in range(t):
-        pat = padded[i]
-        for block in design.classes[i]:
-            pts = sorted(block)
-            for a in range(len(pts)):
-                for b in range(a + 1, len(pts)):
-                    pair = (pts[a], pts[b])
-                    if pair in decided:
-                        raise InternalInvariantError(f"pair {pair} written by two blocks")
-                    decided.add(pair)
-                    if pat.adjacent(a, b):
-                        edges.append(pair)
-    g = Graph.from_edges(design.point_count, edges)
-    recipe = ConstructionRecipe(
-        "design",
-        {
-            "patterns": [to_graph6(p) for p in patterns],
-            "padded_patterns": [to_graph6(p) for p in padded],
-            "point_count": design.point_count,
-            "block_size": design.block_size,
-            "classes_used": t,
-        },
-        design.point_count,
-    )
-    return g, recipe
+    ledger = _EdgeLedger()
+    for pat, cls in zip(padded, design.classes):
+        for block in cls:
+            ledger.place(pat, range(design.block_size), sorted(block))
+    parameters = {
+        "patterns": [to_graph6(p) for p in patterns],
+        "padded_patterns": [to_graph6(p) for p in padded],
+        "point_count": design.point_count,
+        "block_size": design.block_size,
+        "classes_used": t,
+    }
+    return _finish(ledger.build(design.point_count), "design", parameters, claimed)
 
 
 def h_vs_empty(h: Graph, n: int, r: int | None = None) -> tuple[Graph, ConstructionRecipe]:
@@ -210,17 +183,9 @@ def h_vs_empty(h: Graph, n: int, r: int | None = None) -> tuple[Graph, Construct
     delta = min_degree(h)
     if delta == 0:
         raise ValueError("pattern has min degree 0; use delta_zero_construction instead")
-    m = h.order
-    m_prime = m - delta - 1
-    if r is None:
-        r = bounds.default_ring_count(delta, m_prime, n)
-    else:
-        if r < max(3 * m_prime, 2):
-            raise ValueError(f"r={r} below required {max(3 * m_prime, 2)} (= max(3*m', 2))")
-        if n < r:
-            # same constraint the default r enforces: the last independent-set
-            # part holds ceil(n/(r-1)) - 1 vertices and must stay nonempty
-            raise ValueError(f"n={n} too small for the independent-set split over {r} parts")
+    m_prime = h.order - delta - 1
+    r = bounds.default_ring_count(delta, m_prime, n, r)
+    claimed = bounds.h_vs_empty_order(delta, n, r)
 
     x = _min_degree_vertex(h)
     nbrs = sorted(v for v in range(h.order) if h.adjacent(x, v))
@@ -228,38 +193,27 @@ def h_vs_empty(h: Graph, n: int, r: int | None = None) -> tuple[Graph, Construct
     s = bounds.ceil_div(n, r - 1)
 
     u_start = [i * delta for i in range(r)]
-    w_begin = r * delta
     q2, rem = divmod(n, r - 1)
     w_sizes = [q2 + 1] * rem + [q2] * (r - 1 - rem) + [s - 1]
     w_start = []
-    pos = w_begin
+    pos = r * delta
     for size in w_sizes:
         w_start.append(pos)
         pos += size
-    total = pos
-    claimed = n - 1 + delta * r + s
-    if total != claimed:
-        raise InternalInvariantError(f"layout order {total} != claimed {claimed}")
 
     ledger = _EdgeLedger()
     for i in range(r):
         base = u_start[i]
-        for a in range(delta):
-            for b in range(a + 1, delta):
-                ledger.require(base + a, base + b, h.adjacent(nbrs[a], nbrs[b]))
+        ledger.place(h, nbrs, range(base, base + delta))
         for w in range(w_start[i], w_start[i] + w_sizes[i]):
             for a in range(delta):
                 ledger.require(base + a, w, True)
 
     t_blocks: list[list[int]] = []
     if m_prime > 0:
-        for j in range(3):
-            t_blocks.append([u_start[i] for i in range(j * m_prime, (j + 1) * m_prime)])
-        for j in range(3):
-            members = t_blocks[j]
-            for a in range(m_prime):
-                for b in range(a + 1, m_prime):
-                    ledger.require(members[a], members[b], h.adjacent(outer[a], outer[b]))
+        t_blocks = [u_start[j * m_prime:(j + 1) * m_prime] for j in range(3)]
+        for members in t_blocks:
+            ledger.place(h, outer, members)
         for i in range(r):
             if i < 3 * m_prime:
                 target = t_blocks[(i // m_prime + 1) % 3]
@@ -270,24 +224,19 @@ def h_vs_empty(h: Graph, n: int, r: int | None = None) -> tuple[Graph, Construct
                 for b in range(m_prime):
                     ledger.require(base + a, target[b], h.adjacent(nbrs[a], outer[b]))
 
-    g = ledger.build(total)
-    recipe = ConstructionRecipe(
-        "h_vs_empty",
-        {
-            "pattern": to_graph6(h),
-            "n": n,
-            "delta": delta,
-            "m_prime": m_prime,
-            "x": x,
-            "r": r,
-            "s": s,
-            "u_starts": u_start,
-            "w_sizes": w_sizes,
-            "t_blocks": t_blocks,
-        },
-        claimed,
-    )
-    return g, recipe
+    parameters = {
+        "pattern": to_graph6(h),
+        "n": n,
+        "delta": delta,
+        "m_prime": m_prime,
+        "x": x,
+        "r": r,
+        "s": s,
+        "u_starts": u_start,
+        "w_sizes": w_sizes,
+        "t_blocks": t_blocks,
+    }
+    return _finish(ledger.build(pos), "h_vs_empty", parameters, claimed)
 
 
 def star_full(m: int, n: int, k: int | None = None) -> tuple[Graph, ConstructionRecipe]:
@@ -298,6 +247,7 @@ def star_full(m: int, n: int, k: int | None = None) -> tuple[Graph, Construction
     n - 1 + k vertices; each core vertex is joined to k Y-vertices drawn
     round-robin from the pool on its own side, which keeps the whole graph
     bipartite and leaves no Y vertex isolated.  Order: n - 1 + k + r.
+    Only edges are claimed: the non-edges inside Y number about n^2 / 2.
     """
     if m < 2:
         raise ValueError("star order must be at least 2")
@@ -324,7 +274,10 @@ def star_full(m: int, n: int, k: int | None = None) -> tuple[Graph, Construction
     y_pool_left = list(range(r, r + y_left))
     y_pool_right = list(range(r + y_left, r + y_size))
 
-    edges = [(a, b) for a in left for b in right]
+    ledger = _EdgeLedger()
+    for a in left:
+        for b in right:
+            ledger.require(a, b, True)
     schedule: dict[int, list[int]] = {}
     for side, pool in ((left, y_pool_left), (right, y_pool_right)):
         ptr = 0
@@ -336,10 +289,10 @@ def star_full(m: int, n: int, k: int | None = None) -> tuple[Graph, Construction
             if len(set(mine)) != k:
                 raise InternalInvariantError(f"center {xv} received a repeated leaf")
             schedule[xv] = mine
-            edges.extend((xv, y) for y in mine)
+            for y in mine:
+                ledger.require(xv, y, True)
 
-    total = r + y_size
-    g = Graph.from_edges(total, edges)
+    g = ledger.build(r + y_size)
     touched = set()
     for ys in schedule.values():
         touched.update(ys)
@@ -350,25 +303,18 @@ def star_full(m: int, n: int, k: int | None = None) -> tuple[Graph, Construction
         if (u in part_a) == (v in part_a):
             raise InternalInvariantError(f"edge ({u}, {v}) breaks the bipartition")
 
-    claimed = n - 1 + k + r
-    if g.order != claimed:
-        raise InternalInvariantError(f"built order {g.order} != claimed {claimed}")
-    recipe = ConstructionRecipe(
-        "star",
-        {
-            "m": m,
-            "n": n,
-            "k": k,
-            "r": r,
-            "left_centers": len(left),
-            "right_centers": len(right),
-            "y_left": y_left,
-            "y_right": y_right,
-            "schedule": {str(xv): ys for xv, ys in sorted(schedule.items())},
-        },
-        claimed,
-    )
-    return g, recipe
+    parameters = {
+        "m": m,
+        "n": n,
+        "k": k,
+        "r": r,
+        "left_centers": len(left),
+        "right_centers": len(right),
+        "y_left": y_left,
+        "y_right": y_right,
+        "schedule": {str(xv): ys for xv, ys in sorted(schedule.items())},
+    }
+    return _finish(g, "star", parameters, bounds.star_order(m, n, k))
 
 
 def complete_bipartite_full(m: int, n: int) -> tuple[Graph, ConstructionRecipe]:
@@ -379,11 +325,12 @@ def complete_bipartite_full(m: int, n: int) -> tuple[Graph, ConstructionRecipe]:
     """
     if not 2 <= n < m:
         raise ValueError("requires 2 <= n < m")
-    g = complete_bipartite(n, m - 1)
-    recipe = ConstructionRecipe("complete_bipartite", {"m": m, "n": n}, n + m - 1)
-    if g.order != recipe.claimed_order:
-        raise InternalInvariantError("order mismatch")
-    return g, recipe
+    ledger = _EdgeLedger()
+    for a in range(n):
+        for b in range(n, n + m - 1):
+            ledger.require(a, b, True)
+    return _finish(ledger.build(n + m - 1), "complete_bipartite", {"m": m, "n": n},
+                   bounds.star_exact(m, n))
 
 
 def delta_zero_construction(h: Graph, n: int) -> tuple[Graph, ConstructionRecipe]:
@@ -392,18 +339,9 @@ def delta_zero_construction(h: Graph, n: int) -> tuple[Graph, ConstructionRecipe
     s is the smallest independent set forced through a single vertex of h;
     the result has order n - s + order(h), which is optimal.
     """
-    if h.order == 0:
-        raise ValueError("pattern must be nonempty")
-    if min_degree(h) != 0:
-        raise ValueError("pattern must have an isolated vertex (min degree 0)")
-    s = min(alpha_with_vertex(h, v) for v in range(h.order))
-    if n < s:
-        raise ValueError(f"requires n >= s = {s}, got n = {n}")
-    rows = list(h.rows) + [0] * (n - s)
-    g = Graph(h.order + n - s, tuple(rows))
-    recipe = ConstructionRecipe(
-        "delta_zero",
-        {"pattern": to_graph6(h), "n": n, "s": s, "isolated_added": n - s},
-        h.order + n - s,
-    )
-    return g, recipe
+    claimed = bounds.delta_zero_exact(h, n)
+    s = n + h.order - claimed
+    ledger = _EdgeLedger()
+    ledger.place(h, range(h.order), range(h.order))
+    parameters = {"pattern": to_graph6(h), "n": n, "s": s, "isolated_added": n - s}
+    return _finish(ledger.build(h.order + n - s), "delta_zero", parameters, claimed)

@@ -122,13 +122,6 @@ class ResolvableDesign:
             "classes": [[list(block) for block in cls] for cls in self.classes],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ResolvableDesign":
-        classes = tuple(
-            tuple(tuple(sorted(block)) for block in cls_) for cls_ in data["classes"]
-        )
-        return cls(int(data["points"]), int(data["q"]), classes)
-
 
 def affine_plane(q: int) -> ResolvableDesign:
     """Affine plane of order q: q^2 points, q+1 parallel classes of q lines.

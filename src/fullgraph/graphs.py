@@ -208,18 +208,6 @@ def max_degree(g: Graph) -> int:
     return max(g.degrees())
 
 
-def degree_into_set(g: Graph, v: int, members: Iterable[int]) -> int:
-    """Number of neighbours of v inside ``members`` (v itself is ignored)."""
-    if not 0 <= v < g.order:
-        raise ValueError(f"vertex {v} outside 0..{g.order - 1}")
-    mask = 0
-    for u in members:
-        if not 0 <= u < g.order:
-            raise ValueError(f"vertex {u} outside 0..{g.order - 1}")
-        mask |= 1 << u
-    return (g.rows[v] & mask).bit_count()
-
-
 # -- exact independence -----------------------------------------------------
 
 

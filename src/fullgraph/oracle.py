@@ -300,18 +300,16 @@ def _cache_lookup(cache_dir: Path, key: str) -> SearchResult | None:
     path = _cache_file(cache_dir)
     if not path.exists():
         return None
-    hit = None
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
+    # append-only file: the last well-formed record for the key wins, and
+    # lines that are not JSON, or not a record, are skipped
+    for line in reversed(path.read_text().splitlines()):
         try:
             record = json.loads(line)
-        except json.JSONDecodeError:
+            if record["key"] == key:
+                return SearchResult.from_dict(record["result"])
+        except (ValueError, KeyError, TypeError, AttributeError):
             continue
-        if record.get("key") == key:
-            hit = record  # append-only file: the last record wins
-    return SearchResult.from_dict(hit["result"]) if hit else None
+    return None
 
 
 def _cache_store(cache_dir: Path, key: str, result: SearchResult) -> None:

@@ -51,7 +51,10 @@ def parse_pattern(text: str) -> Graph:
     terms = [t.strip() for t in text.split("+")]
     if not terms or any(not t for t in terms):
         raise ValueError(f"cannot parse pattern {text!r}")
-    return graphs.disjoint_union(*[_parse_term(t) for t in terms])
+    g = graphs.disjoint_union(*[_parse_term(t) for t in terms])
+    if g.order == 0:
+        raise ValueError(f"pattern {text!r} has no vertices")
+    return g
 
 
 def parse_pattern_list(text: str) -> list[Graph]:

@@ -156,6 +156,8 @@ def is_full(host: Graph, patterns: list[Graph]) -> FullnessReport:
     """
     if not patterns:
         raise ValueError("at least one pattern is required")
+    if any(p.order < 1 for p in patterns):
+        raise ValueError("patterns must have at least one vertex")
     coverages = []
     for pattern in patterns:
         witnesses: dict[int, dict[int, int]] = {}

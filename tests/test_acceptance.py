@@ -13,26 +13,19 @@ import time
 
 import pytest
 
-from fullgraph import (
-    affine_plane,
-    cyclic_full,
+from fullgraph.bounds import (
     cyclic_upper,
     delta_zero_exact,
-    design_full,
     egh_formula,
-    enumerate_graphs,
-    f_exact,
     general_lower_bound,
-    h_vs_empty,
     h_vs_empty_upper,
-    is_full,
     star_closed_form,
     star_exact,
-    star_full,
     star_lower,
     star_upper,
-    validate_design,
 )
+from fullgraph.constructions import cyclic_full, design_full, h_vs_empty, star_full
+from fullgraph.designs import affine_plane, validate_design
 from fullgraph.graphs import (
     Graph,
     complement,
@@ -49,6 +42,8 @@ from fullgraph.graphs import (
     star,
     to_graph6,
 )
+from fullgraph.oracle import enumerate_graphs, f_exact
+from fullgraph.verifier import is_full
 
 
 def _report(criterion, ok, detail):

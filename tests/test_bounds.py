@@ -9,6 +9,7 @@ import math
 import pytest
 
 from fullgraph.bounds import (
+    BoundEntry,
     BoundSummary,
     ceil_div,
     ceil_sqrt,
@@ -19,16 +20,19 @@ from fullgraph.bounds import (
     design_upper,
     egh_formula,
     general_lower_bound,
+    h_vs_empty_order,
     h_vs_empty_upper,
     star_closed_form,
     star_exact,
     star_lower,
+    star_order,
     star_trivial_lower,
     star_upper,
     summarize,
 )
 from fullgraph.designs import UnsupportedOrderError
 from fullgraph.graphs import (
+    Graph,
     complete,
     complete_bipartite,
     cycle,
@@ -104,6 +108,12 @@ class TestCyclicAndDesignUpper:
         with pytest.raises(ValueError):
             cyclic_upper([])
 
+    def test_cyclic_upper_rejects_single_vertex_patterns(self):
+        # such a pattern would add an empty block: cyclic_full rejects it too
+        for pats in ([complete(1)], [complete(3), complete(1)], [Graph(0, ())]):
+            with pytest.raises(ValueError):
+                cyclic_upper(pats)
+
     def test_design_upper_squares(self):
         assert design_upper(3) == 4
         assert design_upper(4) == 9
@@ -134,6 +144,19 @@ class TestRingCount:
             default_ring_count(1, 0, 1)
         with pytest.raises(ValueError):
             default_ring_count(1, 0, 2)
+
+    def test_explicit_r_is_checked(self):
+        assert default_ring_count(1, 1, 9, 5) == 5
+        assert default_ring_count(1, 0, 9, 2) == 2
+        with pytest.raises(ValueError):
+            default_ring_count(1, 1, 9, 2)  # below 3*m'
+        with pytest.raises(ValueError):
+            default_ring_count(1, 0, 4, 5)  # more parts than independent vertices
+
+    def test_construction_order(self):
+        # n - 1 + delta*r + ceil(n/(r-1))
+        assert h_vs_empty_order(1, 9, 4) == 9 - 1 + 4 + 3
+        assert h_vs_empty_order(2, 100, 11) == 100 - 1 + 22 + 10
 
 
 class TestHVsEmptyUpper:
@@ -193,6 +216,13 @@ class TestStarFormulas:
     def test_small_n_branch(self):
         assert star_exact(5, 3) == 7
         assert star_exact(4, 2) == 5
+
+    def test_upper_is_the_least_construction_order(self):
+        for m in range(2, 12):
+            for n in range(m, 30):
+                up = star_upper(m, n)
+                assert up.value == star_order(m, n, up.k)
+                assert all(star_order(m, n, k) >= up.value for k in range(1, n))
 
     def test_trivial_lower(self):
         assert star_trivial_lower(4, 7) == 10
@@ -307,3 +337,24 @@ class TestSummarize:
     def test_requires_patterns(self):
         with pytest.raises(ValueError):
             summarize([])
+
+    def test_rejects_n_below_one(self):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            summarize([complete(3)], n=0)
+
+    def test_single_vertex_patterns(self):
+        s = summarize([complete(1)])
+        assert (s.best_lower(), s.best_upper()) == (1, 4)
+        cyclic = next(e for e in s.entries if e.name == "cyclic_upper")
+        assert not cyclic.applicable and cyclic.reason
+        s = summarize([complete(1), complete(1)])
+        assert s.violations() == []
+        assert s.best_lower() == 1 <= s.best_upper()
+
+    def test_violation_names_both_entries(self):
+        entries = [BoundEntry("a", "lower", 9, True), BoundEntry("b", "upper", 8, True),
+                   BoundEntry("c", "exact", 8, True), BoundEntry("d", "upper", 1, False)]
+        assert BoundSummary({}, entries).violations() == ["lower a=9 exceeds upper b=8"]
+        exacts = [BoundEntry("x", "exact", 7, True), BoundEntry("y", "exact", 8, True)]
+        assert BoundSummary({}, exacts).violations() == ["exact y=8 exceeds exact x=7"]
+        assert BoundSummary({}, entries[1:]).violations() == []

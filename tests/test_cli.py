@@ -138,6 +138,12 @@ class TestVerify:
         p = run("verify", str(f), "--patterns", "X9")
         assert p.returncode == 2
 
+    def test_order_zero_pattern_exits_two(self, tmp_path, capsys):
+        f = tmp_path / "m.g6"
+        f.write_text("A_\n")
+        assert main(["verify", str(f), "--patterns", "g6:?"]) == 2
+        assert "no vertices" in capsys.readouterr().err
+
     def test_stdout_is_the_indented_report(self, tmp_path):
         host = cycle(8)
         f = tmp_path / "c8.g6"
@@ -171,6 +177,19 @@ class TestBound:
         p = run("bound", "--egh", "1", "5")
         assert p.returncode == 2
 
+    def test_single_vertex_pattern(self, capsys):
+        assert main(["bound", "--patterns", "K1"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert [out["best_lower"], out["best_upper"]] == [1, 4]
+
+    def test_order_zero_pattern_exits_two(self, capsys):
+        assert main(["bound", "--patterns", "g6:?"]) == 2
+        assert "no vertices" in capsys.readouterr().err
+
+    def test_edgeless_order_zero_exits_two(self, capsys):
+        assert main(["bound", "--patterns", "K3", "--n", "0"]) == 2
+        assert "n must be at least 1" in capsys.readouterr().err
+
     def test_inconsistent_summary_exits_three(self, monkeypatch, capsys):
         monkeypatch.setattr(bounds.BoundSummary, "violations", lambda self: ["lower 9 exceeds upper 8"])
         assert main(["bound", "--patterns", "K2", "--n", "5"]) == 3
@@ -190,6 +209,16 @@ class TestSearch:
         p1 = run("search", "--patterns", "K2,E2", "--cache-dir", str(tmp_path))
         p2 = run("search", "--patterns", "K2,E2", "--cache-dir", str(tmp_path))
         assert p1.stdout == p2.stdout
+
+    def test_malformed_cache_records_are_skipped(self, tmp_path):
+        first = run("search", "--patterns", "K2,E2", "--cache-dir", str(tmp_path))
+        cache_file = tmp_path / "f_exact.jsonl"
+        key = json.loads(cache_file.read_text())["key"]
+        with cache_file.open("a") as fh:
+            fh.write("[]\n\"text\"\n" + json.dumps({"key": key, "result": {}}) + "\n")
+        again = run("search", "--patterns", "K2,E2", "--cache-dir", str(tmp_path))
+        assert again.returncode == 0, again.stderr
+        assert again.stdout == first.stdout
 
     def test_env_cache_dir(self, tmp_path):
         p = run("search", "--patterns", "K2,E2", env={"FULLGRAPH_CACHE": str(tmp_path)})

@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from fullgraph.bounds import cyclic_upper, star_exact, star_upper
+from fullgraph import bounds
+from fullgraph.bounds import InternalInvariantError, cyclic_upper, star_exact, star_upper
 from fullgraph.constructions import (
     complete_bipartite_full,
     cyclic_full,
@@ -14,7 +15,7 @@ from fullgraph.constructions import (
     h_vs_empty,
     star_full,
 )
-from fullgraph.designs import ResolvableDesign, affine_plane
+from fullgraph.designs import ResolvableDesign, affine_plane, validate_design
 from fullgraph.graphs import (
     complete,
     complete_bipartite,
@@ -134,6 +135,25 @@ class TestDesignFull:
         broken = ResolvableDesign(9, 3, d.classes[:-1])
         with pytest.raises(ValueError):
             design_full([complete(3)], broken)
+
+    def test_rejects_pair_in_two_blocks(self):
+        # swapping one point between two lines of a class keeps the class a
+        # partition, but some pair then lies on two lines
+        d = affine_plane(3)
+        (a, b, c), (x, y, z), third = d.classes[0]
+        moved = ((a, b, x), (c, y, z), third)
+        twice = ResolvableDesign(9, 3, (moved,) + d.classes[1:])
+        with pytest.raises(ValueError, match="invalid design"):
+            design_full([complete(3)], twice)
+
+    def test_rejects_resolvable_design_that_is_not_a_plane(self):
+        # the round-robin one-factorization of K6 is resolvable, but has 6 points, not 4
+        classes = tuple(((5, i), ((i + 1) % 5, (i + 4) % 5), ((i + 2) % 5, (i + 3) % 5))
+                        for i in range(5))
+        d = ResolvableDesign(6, 2, tuple(tuple(tuple(sorted(b)) for b in c) for c in classes))
+        assert validate_design(d) == []
+        with pytest.raises(ValueError, match="affine plane"):
+            design_full([complete(2), empty(2)], d)
 
 
 class TestHVsEmpty:
@@ -335,6 +355,36 @@ class TestRecipeSerialization:
         for recipe in builds:
             text = json.dumps(recipe.to_dict(), sort_keys=True)
             assert json.loads(text)["claimed_order"] == recipe.claimed_order
+
+
+class TestClaimedOrders:
+    """Each builder takes its claimed order from bounds and checks the build against it.
+
+    delta_zero_construction reads s back from its claimed order, so its
+    build meets the claim by construction and is left out here.
+    """
+
+    BUILDS = [
+        ("cyclic_upper", lambda: cyclic_full([complete(3), empty(3)])),
+        ("h_vs_empty_order", lambda: h_vs_empty(path(3), 9)),
+        ("star_order", lambda: star_full(3, 5)),
+        ("star_exact", lambda: complete_bipartite_full(4, 2)),
+    ]
+
+    @pytest.mark.parametrize("name,build", BUILDS, ids=[b[0] for b in BUILDS])
+    def test_wrong_claim_is_an_internal_error(self, monkeypatch, name, build):
+        _, recipe = build()
+        formula = getattr(bounds, name)
+        monkeypatch.setattr(bounds, name, lambda *args: formula(*args) + 1)
+        with pytest.raises(InternalInvariantError, match=f"claimed {recipe.claimed_order + 1}"):
+            build()
+
+    def test_design_claim_is_the_plane_order(self, monkeypatch):
+        _, recipe = design_full([complete(3)], affine_plane(3))
+        assert recipe.claimed_order == bounds.design_upper(4) == 9
+        monkeypatch.setattr(bounds, "design_upper", lambda k: 10)
+        with pytest.raises(ValueError, match="affine plane"):
+            design_full([complete(3)], affine_plane(3))
 
 
 class TestBuildsArePinned:

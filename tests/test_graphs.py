@@ -19,7 +19,6 @@ from fullgraph.graphs import (
     complete,
     complete_bipartite,
     cycle,
-    degree_into_set,
     disjoint_union,
     duplicate_vertex,
     empty,
@@ -39,6 +38,11 @@ from fullgraph.graphs import (
 )
 
 nx = pytest.importorskip("networkx")
+
+
+def degree_into_set(g, v, members):
+    """Number of neighbours of v inside ``members``."""
+    return sum(g.adjacent(v, u) for u in members)
 
 
 def random_graph(rng, lo=0, hi=10):

@@ -27,6 +27,7 @@ from fullgraph.graphs import (
 from fullgraph.oracle import (
     ENUMERATION_ORDER_CAP,
     SearchResult,
+    _cache_lookup,
     _canonical_search,
     canonical_form,
     canonical_g6,
@@ -294,6 +295,19 @@ class TestCache:
         cache_file.write_text("not json at all\n")
         r = f_exact([complete(2), empty(2)], cache_dir=tmp_path)
         assert r.f == 4
+
+    def test_malformed_records_are_skipped(self, tmp_path):
+        good = f_exact([complete(2), empty(2)], cache_dir=tmp_path)
+        cache_file = tmp_path / "f_exact.jsonl"
+        key = json.loads(cache_file.read_text())["key"]
+        bad = ["[]", '"text"', "7", json.dumps({"key": key, "result": {}}),
+               json.dumps({"key": key, "result": []}), json.dumps({"result": good.to_dict()})]
+        with cache_file.open("a") as fh:
+            fh.write("\n".join(bad) + "\n")
+        assert _cache_lookup(tmp_path, key) == good
+        cache_file.write_text("\n".join(bad) + "\n")
+        assert _cache_lookup(tmp_path, key) is None
+        assert f_exact([complete(2), empty(2)], cache_dir=tmp_path) == good
 
     def test_resolution_order(self, tmp_path, monkeypatch):
         explicit = tmp_path / "explicit"

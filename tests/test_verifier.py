@@ -217,6 +217,10 @@ class TestIsFull:
         with pytest.raises(ValueError):
             is_full(path(3), [])
 
+    def test_rejects_order_zero_pattern(self):
+        with pytest.raises(ValueError):
+            is_full(path(3), [Graph(0, ())])
+
 
 class TestRecheckWitness:
     def test_accepts_valid_map(self):
