@@ -2,11 +2,13 @@
 
 Each builder returns ``(graph, recipe)`` where the recipe records the
 construction family, its parameters, and the order the construction
-promises.  Every builder writes its vertex pairs through one
-``_EdgeLedger``, takes its promised order from the matching ``bounds``
-function, and returns through ``_finish``, which checks the built order
-against that promise.  Builders are deterministic: identical inputs
-produce bit-identical graphs.
+promises.  Builders write their vertex pairs through one ``_EdgeLedger``
+(``complete_bipartite_full`` calls ``graphs.complete_bipartite``), take
+the promised order from the matching ``bounds`` function (the design
+overlay promises its design's point count), and return through
+``_finish``, which checks the built order against that promise.
+Builders are deterministic: identical inputs produce bit-identical
+graphs.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Sequence
 from . import bounds
 from .bounds import InternalInvariantError
 from .designs import ResolvableDesign, validate_design
-from .graphs import Graph, duplicate_vertex, min_degree, to_graph6
+from .graphs import Graph, complete_bipartite, duplicate_vertex, min_degree, to_graph6
 
 
 @dataclass(frozen=True)
@@ -122,7 +124,7 @@ def cyclic_full(patterns: list[Graph]) -> tuple[Graph, ConstructionRecipe]:
 
 
 def design_full(patterns: list[Graph], design: ResolvableDesign) -> tuple[Graph, ConstructionRecipe]:
-    """Overlay one pattern per parallel class of an affine plane.
+    """Overlay one pattern per parallel class of a resolvable design.
 
     Patterns are padded to the block size by repeatedly duplicating vertex 0
     as a false twin, then written onto every block of their class (block
@@ -134,10 +136,6 @@ def design_full(patterns: list[Graph], design: ResolvableDesign) -> tuple[Graph,
     problems = validate_design(design)
     if problems:
         raise ValueError("invalid design: " + "; ".join(problems[:3]))
-    claimed = bounds.design_upper(design.block_size + 1)
-    if design.point_count != claimed:
-        raise ValueError(f"the overlay needs an affine plane; this design has "
-                         f"{design.point_count} points in blocks of {design.block_size}")
     t = len(patterns)
     if t > len(design.classes):
         raise ValueError(f"{t} patterns but the design has only {len(design.classes)} classes")
@@ -163,7 +161,7 @@ def design_full(patterns: list[Graph], design: ResolvableDesign) -> tuple[Graph,
         "block_size": design.block_size,
         "classes_used": t,
     }
-    return _finish(ledger.build(design.point_count), "design", parameters, claimed)
+    return _finish(ledger.build(design.point_count), "design", parameters, design.point_count)
 
 
 def h_vs_empty(h: Graph, n: int, r: int | None = None) -> tuple[Graph, ConstructionRecipe]:
@@ -325,11 +323,7 @@ def complete_bipartite_full(m: int, n: int) -> tuple[Graph, ConstructionRecipe]:
     """
     if not 2 <= n < m:
         raise ValueError("requires 2 <= n < m")
-    ledger = _EdgeLedger()
-    for a in range(n):
-        for b in range(n, n + m - 1):
-            ledger.require(a, b, True)
-    return _finish(ledger.build(n + m - 1), "complete_bipartite", {"m": m, "n": n},
+    return _finish(complete_bipartite(n, m - 1), "complete_bipartite", {"m": m, "n": n},
                    bounds.star_exact(m, n))
 
 

@@ -30,6 +30,7 @@ from fullgraph.bounds import (
     star_upper,
     summarize,
 )
+from fullgraph.constructions import cyclic_full
 from fullgraph.designs import UnsupportedOrderError
 from fullgraph.graphs import (
     Graph,
@@ -41,6 +42,7 @@ from fullgraph.graphs import (
     path,
     star,
 )
+from fullgraph.verifier import is_full
 
 
 class TestIntegerArithmetic:
@@ -350,6 +352,11 @@ class TestSummarize:
         s = summarize([complete(1), complete(1)])
         assert s.violations() == []
         assert s.best_lower() == 1 <= s.best_upper()
+        # every vertex covers K1, so the ring on K3 alone is full for [K3, K1]
+        s = summarize([complete(3), empty(1)])
+        assert s.best_upper() == 4 == next(e.value for e in s.entries if e.name == "cyclic_upper")
+        g, _ = cyclic_full([complete(3)])
+        assert g.order == 4 and is_full(g, [complete(3), empty(1)]).verdict
 
     def test_violation_names_both_entries(self):
         entries = [BoundEntry("a", "lower", 9, True), BoundEntry("b", "upper", 8, True),

@@ -146,14 +146,16 @@ class TestDesignFull:
         with pytest.raises(ValueError, match="invalid design"):
             design_full([complete(3)], twice)
 
-    def test_rejects_resolvable_design_that_is_not_a_plane(self):
-        # the round-robin one-factorization of K6 is resolvable, but has 6 points, not 4
+    def test_resolvable_design_that_is_not_a_plane(self):
+        # the round-robin one-factorization of K6 is resolvable, with 6 points in pairs
         classes = tuple(((5, i), ((i + 1) % 5, (i + 4) % 5), ((i + 2) % 5, (i + 3) % 5))
                         for i in range(5))
         d = ResolvableDesign(6, 2, tuple(tuple(tuple(sorted(b)) for b in c) for c in classes))
         assert validate_design(d) == []
-        with pytest.raises(ValueError, match="affine plane"):
-            design_full([complete(2), empty(2)], d)
+        pats = [complete(2), empty(2), complete(1)]
+        g, recipe = design_full(pats, d)
+        assert g.order == recipe.claimed_order == 6
+        assert is_full(g, pats).verdict
 
 
 class TestHVsEmpty:
@@ -360,8 +362,9 @@ class TestRecipeSerialization:
 class TestClaimedOrders:
     """Each builder takes its claimed order from bounds and checks the build against it.
 
-    delta_zero_construction reads s back from its claimed order, so its
-    build meets the claim by construction and is left out here.
+    delta_zero_construction reads s back from its claimed order, and
+    design_full claims its design's point count, so their builds meet the
+    claim by construction and are left out here.
     """
 
     BUILDS = [
@@ -378,13 +381,6 @@ class TestClaimedOrders:
         monkeypatch.setattr(bounds, name, lambda *args: formula(*args) + 1)
         with pytest.raises(InternalInvariantError, match=f"claimed {recipe.claimed_order + 1}"):
             build()
-
-    def test_design_claim_is_the_plane_order(self, monkeypatch):
-        _, recipe = design_full([complete(3)], affine_plane(3))
-        assert recipe.claimed_order == bounds.design_upper(4) == 9
-        monkeypatch.setattr(bounds, "design_upper", lambda k: 10)
-        with pytest.raises(ValueError, match="affine plane"):
-            design_full([complete(3)], affine_plane(3))
 
 
 class TestBuildsArePinned:
