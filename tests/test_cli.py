@@ -182,11 +182,6 @@ class TestBound:
         out = json.loads(capsys.readouterr().out)
         assert [out["best_lower"], out["best_upper"]] == [1, 4]
 
-    def test_order_one_pattern_keeps_the_ring_bound(self, capsys):
-        assert main(["bound", "--patterns", "K3", "--n", "1"]) == 0
-        out = json.loads(capsys.readouterr().out)
-        assert [out["best_lower"], out["best_upper"]] == [3, 4]
-
     def test_order_zero_pattern_exits_two(self, capsys):
         assert main(["bound", "--patterns", "g6:?"]) == 2
         assert "no vertices" in capsys.readouterr().err
