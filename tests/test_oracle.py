@@ -35,6 +35,7 @@ from fullgraph.oracle import (
     f_exact,
     resolve_cache_dir,
 )
+from fullgraph.patterns import parse_pattern_list
 from fullgraph.verifier import is_full
 
 
@@ -263,6 +264,16 @@ class TestFExact:
     def test_pattern_order_lower_bounds_result(self, tmp_path):
         r = f_exact([path(4)], cache_dir=tmp_path)
         assert r.f == 4
+
+    @pytest.mark.parametrize("instance,digest", [
+        ("K3,E3", "8e29e934bb11"), ("S4,E5", "a9e29dcf8e02"), ("C4,E4", "884feeb08888"),
+        ("P4,E4", "271bf3ca6c00"), ("C5,E3", "9fbaecb75d68"), ("K2+E1,E3", "dcefc215b896"),
+    ])
+    def test_answers_are_pinned(self, tmp_path, instance, digest):
+        # f, witness and examined counts per order; S4,E5 streams into order 9
+        data = f_exact(parse_pattern_list(instance), cache_dir=tmp_path).to_dict()
+        del data["wall_time"]
+        assert hashlib.sha1(json.dumps(data, sort_keys=True).encode()).hexdigest()[:12] == digest
 
 
 class TestCache:
