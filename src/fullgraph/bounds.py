@@ -216,10 +216,16 @@ def delta_zero_exact(h: Graph, n: int) -> int:
     """
     if min_degree(h) != 0:
         raise ValueError("pattern must have an isolated vertex (min degree 0)")
-    s = min(alpha_with_vertex(h, v) for v in range(h.order))
-    if n < s:
+    value, s = _delta_zero(h, n)
+    if value is None:
         raise ValueError(f"requires n >= s = {s}, got n = {n}")
-    return n - s + h.order
+    return value
+
+
+def _delta_zero(h: Graph, n: int) -> tuple[int | None, int]:
+    """Exact f and s for ``delta_zero_exact``; f is None when n < s."""
+    s = min(alpha_with_vertex(h, v) for v in range(h.order))
+    return (n - s + h.order if n >= s else None), s
 
 
 # -- aggregated summaries ----------------------------------------------------
@@ -367,10 +373,9 @@ def summarize(patterns: list[Graph], n: int | None = None) -> BoundSummary:
                     entries.append(BoundEntry("pattern_vs_empty_upper", "upper", None, False,
                                               reason=str(exc)))
             elif h.order and delta == 0:
-                s = min(alpha_with_vertex(h, v) for v in range(h.order))
-                if nn >= s:
-                    entries.append(BoundEntry("isolated_vertex_exact", "exact",
-                                              delta_zero_exact(h, nn), True,
+                value, s = _delta_zero(h, nn)
+                if value is not None:
+                    entries.append(BoundEntry("isolated_vertex_exact", "exact", value, True,
                                               details={"s": s}))
                 else:
                     entries.append(BoundEntry("isolated_vertex_exact", "exact", None, False,

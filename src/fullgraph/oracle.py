@@ -14,6 +14,15 @@ vertex lies in the automorphism orbit of the vertex the canonical labeling
 puts last, so exactly one parent class and one subset orbit reconstruct each
 child class.  The labeling's pruning proves the automorphisms for free: their
 generators decide the child's acceptance and, memoized, its subset orbits.
+Two cheaper necessary conditions come first: the new vertex must have the
+largest degree, and it must lie in the last cell of the child's refined unit
+partition, which holds that whole orbit; the canonical search then starts
+from that refinement.
+
+Search: a vertex playing role q of a pattern H has deg_H(q) neighbours and
+n(H)-1-deg_H(q) non-neighbours in the copy, so a host with a vertex whose
+degree fits no role of some pattern cannot be full and is skipped before any
+copy search.
 """
 
 from __future__ import annotations
@@ -66,11 +75,14 @@ def _refine(rows: tuple[int, ...], partition: list[list[int]], splitters: list[l
     return partition
 
 
-def _canonical_search(g: Graph, gens: list | None = None) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _canonical_search(
+    g: Graph, gens: list | None = None, root: list[list[int]] | None = None,
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Return (labeling, certificate): labeling[i] is the old vertex at position i.
 
     Every automorphism proved by target-cell pruning is appended to ``gens``
     (if given) as a permutation tuple; together they generate Aut(g).
+    ``root``, if given, is the refinement of the unit partition, already made.
     """
     n = g.order
     if n == 0:
@@ -133,7 +145,9 @@ def _canonical_search(g: Graph, gens: list | None = None) -> tuple[tuple[int, ..
             walk(child, [[v]])  # partition was equitable
             tried.append(v)
 
-    walk([list(range(n))], [list(range(n))])
+    if root is None:
+        root = _refine(rows, [list(range(n))], [list(range(n))])
+    walk(root, [])
     return best_lab[0], best_cert[0]
 
 
@@ -183,7 +197,9 @@ def _children(parent: bytes, z: int) -> Iterator[bytes]:
     """Accepted one-vertex extensions of a packed parent representative (z = parent order).
 
     Tries the least subset of each Aut(parent) orbit as z's neighbourhood and
-    accepts z when it is in the orbit of the canonically last vertex.
+    accepts z when it is in the orbit of the canonically last vertex.  That
+    orbit lies in the last cell of the child's refined unit partition, since
+    refinement and individualisation keep cell order, so z must lie there too.
     """
     rows, gens = _unpack(parent, z)
     images = []  # per generator, the image of every subset
@@ -206,8 +222,11 @@ def _children(parent: bytes, z: int) -> Iterator[bytes]:
         if at_least[k + 1] or subset & at_least[k]:
             continue
         child_rows = tuple(r | ((subset >> v) & 1) << z for v, r in enumerate(rows)) + (subset,)
+        root = _refine(child_rows, [list(range(z + 1))], [list(range(z + 1))])
+        if z not in root[-1]:
+            continue
         child_gens: list[tuple[int, ...]] = []
-        lab, _ = _canonical_search(_trusted_graph(z + 1, child_rows), child_gens)
+        lab, _ = _canonical_search(_trusted_graph(z + 1, child_rows), child_gens, root)
         if z in _orbit(lab[-1], child_gens):
             yield _pack(child_rows, child_gens)
 
@@ -314,8 +333,14 @@ def _cache_lookup(cache_dir: Path, key: str) -> SearchResult | None:
 
 def _cache_store(cache_dir: Path, key: str, result: SearchResult) -> None:
     cache_dir.mkdir(parents=True, exist_ok=True)
-    with _cache_file(cache_dir).open("a") as fh:
-        fh.write(json.dumps({"key": key, "result": result.to_dict()}, sort_keys=True) + "\n")
+    line = json.dumps({"key": key, "result": result.to_dict()}, sort_keys=True) + "\n"
+    # one write(2) to an O_APPEND descriptor, so concurrent writers cannot
+    # interleave parts of their records
+    fd = os.open(_cache_file(cache_dir), os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+    try:
+        os.write(fd, line.encode())
+    finally:
+        os.close(fd)
 
 
 def _chunks(it: Iterator[Graph], size: int) -> Iterator[list[Graph]]:
@@ -329,6 +354,19 @@ def _chunks(it: Iterator[Graph], size: int) -> Iterator[list[Graph]]:
         yield chunk
 
 
+def _degree_window(pattern: Graph, n: int) -> int:
+    """Bitmask of the degrees an order-n host vertex may have inside a copy of ``pattern``.
+
+    Playing role q takes deg(q) neighbours and order - 1 - deg(q)
+    non-neighbours, so the window is the union of [deg(q), n - order + deg(q)].
+    """
+    span = (1 << max(0, n - pattern.order + 1)) - 1
+    mask = 0
+    for r in pattern.rows:
+        mask |= span << r.bit_count()
+    return mask
+
+
 def f_exact(
     patterns: list[Graph],
     lower_hint: int | None = None,
@@ -338,8 +376,10 @@ def f_exact(
     """Least order of a graph whose every vertex lies in an induced copy of each pattern.
 
     Scans orders from max(lower_hint, largest pattern order) upward through
-    isomorphism-class representatives.  Hosts lacking even one copy of some
-    pattern are skipped before the per-vertex check.  The scan is chunked;
+    isomorphism-class representatives.  A host with a vertex outside some
+    pattern's degree window (``_degree_window``) cannot be full and is
+    skipped unsearched; so are hosts lacking even one copy of some pattern.
+    Skipped hosts still count in ``examined``.  The scan is chunked;
     within the first chunk containing witnesses the lexicographically least
     graph6 string wins, which keeps the result independent of how chunks
     are processed.  Orders above 9 cannot be enumerated: a search asked to
@@ -371,10 +411,15 @@ def f_exact(
     witness: str | None = None
     for order in range(lo, min(hi, ENUMERATION_ORDER_CAP) + 1):
         count = 0
+        window = -1
+        for p in patterns:
+            window &= _degree_window(p, order)
         for chunk in _chunks(enumerate_graphs(order), _SEARCH_CHUNK):
             hits = []
             for g in chunk:
                 count += 1
+                if any(not window >> r.bit_count() & 1 for r in g.rows):
+                    continue
                 if any(not has_induced_copy(g, p) for p in patterns):
                     continue
                 if is_full(g, patterns).verdict:

@@ -293,6 +293,25 @@ class TestDeltaZeroExact:
 
 
 class TestSummarize:
+    @pytest.mark.parametrize("n,entry", [
+        (3, {"name": "isolated_vertex_exact", "kind": "exact", "value": 5, "applicable": True,
+             "reason": "", "details": {"s": 2}}),
+        (1, {"name": "isolated_vertex_exact", "kind": "exact", "value": None, "applicable": False,
+             "reason": "needs n >= s = 2", "details": {}}),
+    ])
+    def test_isolated_vertex_entry_takes_s_once(self, monkeypatch, n, entry):
+        # s = min over v of alpha_with_vertex(h, v): one call per vertex of h
+        from fullgraph import bounds
+        calls = []
+        alpha = bounds.alpha_with_vertex
+        monkeypatch.setattr(bounds, "alpha_with_vertex", lambda g, v: calls.append(v) or alpha(g, v))
+        h = disjoint_union(path(3), complete(1))
+        entries = [e.to_dict() for e in summarize([h], n=n).entries if e.name == "isolated_vertex_exact"]
+        assert entries == [entry]
+        assert sorted(calls) == list(range(h.order))
+        if n >= 2:
+            assert entry["value"] == delta_zero_exact(h, n)
+
     def test_complete_vs_empty_closes(self):
         s = summarize([complete(2)], n=5)
         assert s.best_lower() == 9

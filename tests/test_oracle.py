@@ -28,7 +28,11 @@ from fullgraph.oracle import (
     ENUMERATION_ORDER_CAP,
     SearchResult,
     _cache_lookup,
+    _cache_store,
     _canonical_search,
+    _degree_window,
+    _orbit,
+    _refine,
     canonical_form,
     canonical_g6,
     enumerate_graphs,
@@ -36,7 +40,7 @@ from fullgraph.oracle import (
     resolve_cache_dir,
 )
 from fullgraph.patterns import parse_pattern_list
-from fullgraph.verifier import is_full
+from fullgraph.verifier import find_induced_copy_containing, is_full
 
 
 def canonical_labeling(g):
@@ -203,6 +207,41 @@ class TestEnumerationLarge:
         assert enumeration_digest(9) == "5ea5bfed2144"
 
 
+class TestSearchCuts:
+    def test_degree_window_rejects_only_uncoverable_vertices(self):
+        patterns = [p for k in range(1, 5) for p in enumerate_graphs(k)]
+        hosts = [g for n in range(1, 8) for g in enumerate_graphs(n)]
+        rejected = 0
+        for p in patterns:
+            for host in hosts:
+                if host.order < p.order:
+                    continue
+                window = _degree_window(p, host.order)
+                for v, row in enumerate(host.rows):
+                    if not window >> row.bit_count() & 1:
+                        rejected += 1
+                        assert find_induced_copy_containing(host, p, v) is None
+        assert rejected == 17582
+
+    @staticmethod
+    def root(g):
+        return _refine(g.rows, [list(range(g.order))], [list(range(g.order))])
+
+    def test_last_vertex_orbit_lies_in_the_last_root_cell(self):
+        for n in range(1, 8):
+            for g in enumerate_graphs(n):
+                gens = []
+                lab, _ = _canonical_search(g, gens)
+                assert _orbit(lab[-1], gens) <= set(self.root(g)[-1])
+
+    def test_given_root_changes_nothing(self):
+        for n in range(1, 8):
+            for g in enumerate_graphs(n):
+                gens, rooted_gens = [], []
+                assert _canonical_search(g, gens) == _canonical_search(g, rooted_gens, self.root(g))
+                assert gens == rooted_gens
+
+
 class TestFExact:
     def test_edge_nonedge_instance(self, tmp_path):
         r = f_exact([complete(2), empty(2)], cache_dir=tmp_path)
@@ -319,6 +358,17 @@ class TestCache:
         cache_file.write_text("\n".join(bad) + "\n")
         assert _cache_lookup(tmp_path, key) is None
         assert f_exact([complete(2), empty(2)], cache_dir=tmp_path) == good
+
+    def test_records_written_in_turn_are_whole_lines(self, tmp_path):
+        results = [f_exact([complete(2), empty(k)], cache_dir=tmp_path / "fill") for k in (2, 3)]
+        keys = [f"key-{i}" for i in range(6)]
+        for i, key in enumerate(keys):
+            _cache_store(tmp_path, key, results[i % 2])
+        lines = (tmp_path / "f_exact.jsonl").read_bytes().split(b"\n")
+        assert lines[-1] == b""
+        assert [json.loads(line)["key"] for line in lines[:-1]] == keys
+        for i, key in enumerate(keys):
+            assert _cache_lookup(tmp_path, key) == results[i % 2]
 
     def test_resolution_order(self, tmp_path, monkeypatch):
         explicit = tmp_path / "explicit"
