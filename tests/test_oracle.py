@@ -104,6 +104,28 @@ class TestCanonicalForm:
         g = path(4)
         assert canonical_g6(g).encode() == canonical_form(g)
 
+    def test_forms_beyond_the_enumeration_are_pinned(self):
+        # cache keys canonicalize patterns up to order 16, past the
+        # enumeration digests, which stop at order 9
+        rng = random.Random(16)
+        forms = []
+        for n in range(10, 17):
+            for _ in range(60):
+                p = rng.random()
+                edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+                forms.append(canonical_form(Graph.from_edges(n, edges)))
+        for n in range(3, 14):
+            for jumps in range(1, 1 << (n // 2)):
+                edges = {tuple(sorted((i, (i + d + 1) % n))) for i in range(n) for d in range(n // 2) if jumps >> d & 1}
+                g = Graph.from_edges(n, edges)
+                perm = list(range(n))
+                rng.shuffle(perm)
+                form = canonical_form(g)
+                assert canonical_form(relabeled(g, perm)) == form
+                forms.append(form)
+        assert len(forms) == 659
+        assert hashlib.sha1(b"\n".join(forms)).hexdigest()[:12] == "35425d762526"
+
 
 def orbits_of(n, perms):
     """Vertex orbits of the group generated by ``perms``, as a set of frozensets."""
