@@ -80,6 +80,10 @@ def _canonical_search(
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Return (labeling, certificate): labeling[i] is the old vertex at position i.
 
+    Depth first over an explicit stack of (partition, splitters) entries,
+    each refined when popped; a node's kept children are pushed in reverse,
+    so they are searched in target-cell order.
+
     Every automorphism proved by target-cell pruning is appended to ``gens``
     (if given) as a permutation tuple; together they generate Aut(g).
     ``root``, if given, is the refinement of the unit partition, already made.
@@ -88,67 +92,51 @@ def _canonical_search(
     if n == 0:
         return (), ()
     rows = g.rows
-    best_cert: list[tuple[int, ...]] = [None]  # type: ignore[list-item]
-    best_lab: list[tuple[int, ...]] = [None]   # type: ignore[list-item]
-
-    def walk(partition: list[list[int]], splitters: list[list[int]]) -> None:
-        partition = _refine(rows, partition, splitters)
-        prefix: list[int] = []
-        for cell in partition:
-            if len(cell) == 1:
-                prefix.append(cell[0])
-            else:
-                break
-        cols = []
-        for j, v in enumerate(prefix):
-            c = 0
-            for i in range(j):
-                c |= ((rows[v] >> prefix[i]) & 1) << i
-            cols.append(c)
-        if best_cert[0] is not None:
-            b = best_cert[0]
-            for j, c in enumerate(cols):
-                if c > b[j]:
-                    return
-                if c < b[j]:
-                    break
-        if len(prefix) == n:
-            cert = tuple(cols)
-            if best_cert[0] is None or cert < best_cert[0]:
-                best_cert[0] = cert
-                best_lab[0] = tuple(prefix)
-            return
-        for idx, cell in enumerate(partition):
-            if len(cell) > 1:
-                break
-        prefix_mask = 0
-        for v in prefix:
-            prefix_mask |= 1 << v
-        pins_base = {v: v for v in prefix}
-        tried: list[int] = []
-        for v in partition[idx]:
-            skip = False
-            for u in tried:
-                if (rows[v] & prefix_mask) != (rows[u] & prefix_mask):
-                    continue
-                pins = dict(pins_base)
-                pins[v] = u
-                if (found := extend_partial_map(g, g, pins)) is not None:
-                    if gens is not None:
-                        gens.append(tuple(map(found.__getitem__, range(n))))
-                    skip = True
-                    break
-            if skip:
-                continue
-            rest = [u for u in partition[idx] if u != v]
-            child = partition[:idx] + [[v], rest] + partition[idx + 1:]
-            walk(child, [[v]])  # partition was equitable
-            tried.append(v)
-
     if root is None:
         root = _refine(rows, [list(range(n))], [list(range(n))])
-    walk(root, [])
-    return best_lab[0], best_cert[0]
+    # every column is below 1 << n, so the first leaf replaces this bound
+    best_cert: list[int] = [1 << n] * n
+    best_lab: tuple[int, ...] = ()
+    stack = [(root, [])]
+    while stack:
+        partition, splitters = stack.pop()
+        partition = _refine(rows, partition, splitters)
+        prefix: list[int] = []
+        cert: list[int] = []
+        for cell in partition:
+            if len(cell) > 1:
+                break
+            c = 0
+            for i, u in enumerate(prefix):
+                c |= ((rows[cell[0]] >> u) & 1) << i
+            cert.append(c)
+            prefix.append(cell[0])
+        if cert > best_cert[:len(cert)]:
+            continue
+        k = len(prefix)
+        if k == n:
+            if cert < best_cert:
+                best_cert, best_lab = cert, tuple(prefix)
+            continue
+        target = partition[k]
+        prefix_mask = sum(1 << v for v in prefix)
+        pins = {v: v for v in prefix}
+        kept: list[int] = []
+        for v in target:
+            for u in kept:
+                if (rows[v] & prefix_mask) == (rows[u] & prefix_mask):
+                    pins[v] = u
+                    if (found := extend_partial_map(g, g, pins)) is not None:
+                        if gens is not None:
+                            gens.append(tuple(map(found.__getitem__, range(n))))
+                        break
+            else:
+                kept.append(v)
+            pins.pop(v, None)
+        for v in reversed(kept):
+            child = partition[:k] + [[v], [u for u in target if u != v]] + partition[k + 1:]
+            stack.append((child, [[v]]))  # partition was equitable
+    return best_lab, tuple(best_cert)
 
 
 def canonical_form(g: Graph) -> bytes:
@@ -157,10 +145,6 @@ def canonical_form(g: Graph) -> bytes:
         raise ValueError(f"canonical labeling capped at order {CANONICAL_ORDER_CAP}")
     lab, _ = _canonical_search(g)
     return to_graph6(relabeled(g, lab)).encode("ascii")
-
-
-def canonical_g6(g: Graph) -> str:
-    return canonical_form(g).decode("ascii")
 
 
 # -- isomorph-free enumeration ------------------------------------------------
@@ -343,17 +327,6 @@ def _cache_store(cache_dir: Path, key: str, result: SearchResult) -> None:
         os.close(fd)
 
 
-def _chunks(it: Iterator[Graph], size: int) -> Iterator[list[Graph]]:
-    chunk: list[Graph] = []
-    for g in it:
-        chunk.append(g)
-        if len(chunk) == size:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk
-
-
 def _degree_window(pattern: Graph, n: int) -> int:
     """Bitmask of the degrees an order-n host vertex may have inside a copy of ``pattern``.
 
@@ -379,11 +352,13 @@ def f_exact(
     isomorphism-class representatives.  A host with a vertex outside some
     pattern's degree window (``_degree_window``) cannot be full and is
     skipped unsearched; so are hosts lacking even one copy of some pattern.
-    Skipped hosts still count in ``examined``.  The scan is chunked;
-    within the first chunk containing witnesses the lexicographically least
-    graph6 string wins, which keeps the result independent of how chunks
-    are processed.  Orders above 9 cannot be enumerated: a search asked to
-    go beyond returns a non-exhaustive result rather than a certificate.
+    Skipped hosts still count in ``examined``.  The witness is the
+    lexicographically least graph6 string among the hits of the first block
+    of 512 consecutive hosts, in enumeration order, that has one; witnesses
+    are printed and cached, so this rule stays fixed until a documented
+    change of the search replaces it (ROADMAP item 2).  Orders above 9
+    cannot be enumerated: a search asked to go beyond returns a
+    non-exhaustive result rather than a certificate.
     """
     if not patterns:
         raise ValueError("at least one pattern is required")
@@ -397,7 +372,7 @@ def f_exact(
     if lo > hi:
         raise ValueError(f"inconsistent hints: search would start at {lo} but stop at {hi}")
 
-    canon = tuple(sorted(canonical_g6(p) for p in patterns))
+    canon = tuple(sorted(canonical_form(p).decode("ascii") for p in patterns))
     key = json.dumps({"patterns": list(canon), "lo": lo, "hi": hi}, sort_keys=True)
     cdir = resolve_cache_dir(cache_dir)
     cached = _cache_lookup(cdir, key)
@@ -410,26 +385,21 @@ def f_exact(
     f_value: int | None = None
     witness: str | None = None
     for order in range(lo, min(hi, ENUMERATION_ORDER_CAP) + 1):
-        count = 0
         window = -1
         for p in patterns:
             window &= _degree_window(p, order)
-        for chunk in _chunks(enumerate_graphs(order), _SEARCH_CHUNK):
-            hits = []
-            for g in chunk:
-                count += 1
-                if any(not window >> r.bit_count() & 1 for r in g.rows):
-                    continue
-                if any(not has_induced_copy(g, p) for p in patterns):
-                    continue
-                if is_full(g, patterns).verdict:
-                    hits.append(to_graph6(g))
-            if hits:
-                f_value = order
-                witness = min(hits)
+        hits: list[str] = []
+        for count, g in enumerate(enumerate_graphs(order), 1):
+            if (all(window >> r.bit_count() & 1 for r in g.rows)
+                    and all(has_induced_copy(g, p) for p in patterns)
+                    and is_full(g, patterns).verdict):
+                hits.append(to_graph6(g))
+            if hits and count % _SEARCH_CHUNK == 0:
                 break
         examined[order] = count
-        if f_value is not None:
+        if hits:
+            f_value = order
+            witness = min(hits)
             break
         exhausted.append(order)
 
@@ -438,7 +408,7 @@ def f_exact(
         note = ""
     elif hi > ENUMERATION_ORDER_CAP:
         exhaustive = False
-        note = (f"orders {ENUMERATION_ORDER_CAP + 1}..{hi} not examined: "
+        note = (f"orders {max(lo, ENUMERATION_ORDER_CAP + 1)}..{hi} not examined: "
                 f"enumeration is capped at order {ENUMERATION_ORDER_CAP}")
     else:
         exhaustive = True

@@ -5,6 +5,7 @@ canonicalizing the entire labeled space; the larger counts are standard
 sequence values asserted directly.
 """
 
+import gc
 import hashlib
 import itertools
 import json
@@ -34,7 +35,6 @@ from fullgraph.oracle import (
     _orbit,
     _refine,
     canonical_form,
-    canonical_g6,
     enumerate_graphs,
     f_exact,
     resolve_cache_dir,
@@ -100,10 +100,6 @@ class TestCanonicalForm:
         # C5 is self-complementary territory: just check it differs from P5
         assert canonical_form(cycle(5)) != canonical_form(path(5))
 
-    def test_canonical_g6_matches_form(self):
-        g = path(4)
-        assert canonical_g6(g).encode() == canonical_form(g)
-
     def test_forms_beyond_the_enumeration_are_pinned(self):
         # cache keys canonicalize patterns up to order 16, past the
         # enumeration digests, which stop at order 9
@@ -168,6 +164,25 @@ class TestRecordedGenerators:
                         closure.add(b)
                         frontier.append(b)
             assert len(closure) == len(group)
+
+    def test_search_leaves_nothing_for_the_cyclic_collector(self):
+        graphs = [cycle(5), path(6), complete(4), disjoint_union(cycle(4), cycle(4)), cycle(8)]
+        enabled, flags = gc.isenabled(), gc.get_debug()
+        gc.collect()
+        before = len(gc.garbage)
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for _ in range(20):
+                for g in graphs:
+                    _canonical_search(g, [])
+            gc.collect()
+            assert gc.garbage[before:] == []
+        finally:
+            del gc.garbage[before:]
+            gc.set_debug(flags)
+            if enabled:
+                gc.enable()
 
     def test_recording_leaves_the_labeling_unchanged(self):
         rng = random.Random(4242)
@@ -307,6 +322,12 @@ class TestFExact:
         assert r.f is None
         assert not r.exhaustive
         assert "capped" in r.note
+
+    def test_unexamined_orders_start_where_the_scan_would(self, tmp_path):
+        r = f_exact([complete(11)], upper_hint=12, cache_dir=tmp_path)
+        assert r.note == "orders 11..12 not examined: enumeration is capped at order 9"
+        r = f_exact([complete(4), empty(4)], lower_hint=10, upper_hint=10, cache_dir=tmp_path)
+        assert r.note == "orders 10..10 not examined: enumeration is capped at order 9"
 
     def test_inconsistent_hints_raise(self, tmp_path):
         with pytest.raises(ValueError):
