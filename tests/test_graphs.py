@@ -9,11 +9,14 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fullgraph.constructions import h_vs_empty
 from fullgraph.graphs import (
     Graph,
     Graph6Error,
+    _independent_search,
     alpha_with_vertex,
     complement,
     complete,
@@ -239,6 +242,66 @@ class TestIndependence:
             independent_set_with(path(3), 5, 1)
         with pytest.raises(ValueError):
             independent_set_with(path(3), 0, 0)
+
+
+def brute_pool_alpha(rows, pool, memo):
+    """Size of a largest independent set inside ``pool``: take or leave its lowest vertex."""
+    if not pool:
+        return 0
+    if pool not in memo:
+        low = pool & -pool
+        v = low.bit_length() - 1
+        memo[pool] = max(brute_pool_alpha(rows, pool ^ low, memo),
+                         1 + brute_pool_alpha(rows, pool & ~rows[v] & ~low, memo))
+    return memo[pool]
+
+
+def check_search(g, pool, target):
+    """``_independent_search`` answers exactly when the pool's alpha reaches the target."""
+    got = _independent_search(g.rows, pool, target)
+    if brute_pool_alpha(g.rows, pool, {}) < target:
+        assert got is None
+        return
+    assert got is not None and len(got) >= target
+    assert len(set(got)) == len(got)
+    assert all((pool >> v) & 1 for v in got)
+    assert all(not g.adjacent(a, b) for a, b in itertools.combinations(got, 2))
+
+
+@st.composite
+def searches(draw):
+    n = draw(st.integers(0, 14))
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    bits = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph.from_edges(n, [e for e, b in zip(pairs, bits) if b])
+    return g, draw(st.integers(0, (1 << n) - 1)), draw(st.integers(0, n + 1))
+
+
+class TestIndependentSearch:
+    """The one independent-set search against a take-or-leave brute force."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(searches())
+    def test_matches_brute_force(self, case):
+        check_search(*case)
+
+    def test_hubs_over_a_sparse_pool(self):
+        # a few hubs joined to most of a sparse pool, with the target near the
+        # pool's size: the hubs have more pool neighbours than the slack
+        rng = random.Random(10)
+        for _ in range(150):
+            n = rng.randint(8, 16)
+            hubs = rng.randint(1, 3)
+            edges = {(u, v) for v in range(hubs, n) for u in range(hubs, v) if rng.random() < 0.12}
+            edges |= {(h, v) for h in range(hubs) for v in range(hubs, n) if rng.random() < 0.8}
+            g = Graph.from_edges(n, sorted(edges))
+            pool = (1 << n) - 1
+            for v in range(n):
+                if rng.random() < 0.1:
+                    pool &= ~(1 << v)
+            size = pool.bit_count()
+            for target in range(max(0, size - 5), size + 2):
+                check_search(g, pool, target)
 
 
 class TestGraph6:
