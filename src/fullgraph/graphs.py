@@ -215,27 +215,40 @@ def _independent_search(rows: tuple[int, ...], pool: int, target: int) -> list[i
     """Independent set of at least ``target`` vertices inside the bitmask ``pool``, or None.
 
     Exact branch and bound on an explicit stack, so its depth is not bounded
-    by the interpreter's recursion limit.  It branches on the vertex with
-    the most neighbours left in the pool, taking it first and leaving it out
-    second, and drops every branch that cannot reach ``target``.  A pool in
-    which no vertex has two neighbours is settled without branching, so the
-    set returned can be larger than ``target``.
+    by the interpreter's recursion limit.  Call len(chosen) + |pool| - target
+    the slack.  A pool vertex with more pool neighbours than the slack lies
+    in no set that reaches ``target`` (the degree rule for vertex cover,
+    Buss & Goldsmith 1993), so one scan of the pool finds every such vertex
+    and the search drops them all, then scans again; a drop lowers the slack
+    by one and a degree by at most one, so a vertex once over stays over.
+    Once none is left it branches on the vertex with the most neighbours
+    left in the pool, taking it first and leaving it out second, and drops
+    every branch that cannot reach ``target``.  A pool in which no vertex
+    has two neighbours is settled without branching, so the set returned can
+    be larger than ``target``.
     """
     chosen: list[int] = []
     pending: list[tuple[int, int]] = []  # (pool, len(chosen)) of branches still to try
     p = pool
     while True:
-        if len(chosen) + p.bit_count() >= target:
+        slack = len(chosen) + p.bit_count() - target
+        if slack >= 0:
             if len(chosen) >= target:
                 return chosen
-            u, udeg = -1, -1
+            u, udeg, over = -1, -1, 0
             w = p
             while w:
-                c = (w & -w).bit_length() - 1
+                low = w & -w
+                c = low.bit_length() - 1
                 d = (rows[c] & p).bit_count()
-                if d > udeg:
+                if d > slack:
+                    over |= low
+                elif d > udeg:
                     u, udeg = c, d
-                w &= w - 1
+                w ^= low
+            if over:
+                p ^= over
+                continue
             if udeg > 1:
                 pending.append((p & ~(1 << u), len(chosen)))
                 chosen.append(u)

@@ -133,19 +133,19 @@ class FullnessReport:
         return all(not c.uncovered for c in self.coverages)
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "patterns": [
-                {
-                    "pattern_g6": c.pattern_g6,
-                    "uncovered": list(c.uncovered),
-                    "witnesses": {
-                        str(v): sorted(role_map.values()) for v, role_map in sorted(c.witnesses.items())
-                    },
-                }
-                for c in self.coverages
-            ],
-        }
+        """The report as JSON-ready data; the vertices one role map covers share one list."""
+        patterns = []
+        for c in self.coverages:
+            members: dict[int, list[int]] = {}  # id of a role map -> its sorted images
+            witnesses = {}
+            for v, role_map in sorted(c.witnesses.items()):
+                images = members.get(id(role_map))
+                if images is None:
+                    images = members[id(role_map)] = sorted(role_map.values())
+                witnesses[str(v)] = images
+            patterns.append({"pattern_g6": c.pattern_g6, "uncovered": list(c.uncovered),
+                             "witnesses": witnesses})
+        return {"verdict": self.verdict, "patterns": patterns}
 
 
 def is_full(host: Graph, patterns: list[Graph]) -> FullnessReport:

@@ -1,12 +1,15 @@
 """Command-line interface: JSON output, exit codes, file handling."""
 
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fullgraph import bounds
+from fullgraph import bounds, cli
 from fullgraph.cli import main
 from fullgraph.graphs import cycle, from_graph6, to_graph6
 from fullgraph.verifier import is_full
@@ -27,6 +30,74 @@ def run(*args, stdin=None, env=None):
         env=full_env,
         timeout=300,
     )
+
+
+SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+
+
+@st.composite
+def payloads(draw):
+    """JSON-ready dicts, with one list object that appears at two depths."""
+    shared = draw(st.lists(SCALARS, max_size=6))
+    value = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=4)
+                         | st.dictionaries(st.text(), inner, max_size=4), max_leaves=30)
+    payload = draw(st.dictionaries(st.text(), value, max_size=5))
+    payload["shared"] = shared
+    payload["nested"] = {"again": [shared, {"deeper": shared}], "empty": [{}, []]}
+    return payload
+
+
+def json_text(payload):
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+class TestEmit:
+    """``_emit`` prints what ``json.dumps(payload, sort_keys=True, indent=2)`` does."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(payloads())
+    def test_matches_json(self, payload):
+        out = io.StringIO()
+        saved, sys.stdout = sys.stdout, out
+        try:
+            cli._emit(payload)
+        finally:
+            sys.stdout = saved
+        assert out.getvalue() == json_text(payload)
+
+    def test_tuples_and_specials(self, capsys):
+        payload = {"t": (1, "é", None), "f": [float("nan"), float("inf"), -float("inf"), -0.0, 1e300],
+                   "b": [True, False, 0, 1], "s": "\u2603\n\"", "": {}}
+        cli._emit(payload)
+        assert capsys.readouterr().out == json_text(payload)
+
+    @pytest.mark.parametrize("argv", [
+        ["construct", "--theorem", "h_vs_empty", "--patterns", "C5", "--n", "12"],
+        ["construct", "--theorem", "design", "--patterns", "K3,E3", "--q", "3"],
+        ["construct", "--theorem", "star", "--m", "3", "--n", "4"],
+        ["construct", "--theorem", "cyclic", "--patterns", "K3,E3"],
+        ["verify", "HOST", "--patterns", "P3,E3,C4"],
+        ["bound", "--egh", "3", "3"],
+        ["bound", "--star", "3", "4"],
+        ["bound", "--patterns", "C5,E3"],
+        ["search", "--patterns", "K2,E2", "--cache-dir", "CACHE"],
+        ["design", "--q", "3"],
+    ])
+    def test_every_subcommand(self, argv, tmp_path, monkeypatch, capsys):
+        host = tmp_path / "host.g6"
+        host.write_text(to_graph6(cycle(8)) + "\n")
+        argv = [str(host) if a == "HOST" else str(tmp_path) if a == "CACHE" else a for a in argv]
+        emitted = []
+        real = cli._emit
+        monkeypatch.setattr(cli, "_emit", lambda payload: (emitted.append(payload), real(payload)))
+        main(argv)
+        assert len(emitted) == 1
+        assert capsys.readouterr().out == json_text(emitted[0])
+
+    @pytest.mark.parametrize("payload", [{1: "a"}, {"a": [{"b": 1, 2: "c"}]}, {"a": {None: 1}}])
+    def test_non_str_keys_raise(self, payload):
+        with pytest.raises(TypeError):
+            cli._emit(payload)
 
 
 class TestConstruct:
