@@ -211,7 +211,7 @@ def max_degree(g: Graph) -> int:
 # -- exact independence -----------------------------------------------------
 
 
-def _independent_search(rows: tuple[int, ...], pool: int, target: int) -> list[int] | None:
+def _independent_search(rows: tuple[int, ...], pool: int, target: int, prefer: int = 0) -> list[int] | None:
     """Independent set of at least ``target`` vertices inside the bitmask ``pool``, or None.
 
     Exact branch and bound on an explicit stack, so its depth is not bounded
@@ -225,7 +225,8 @@ def _independent_search(rows: tuple[int, ...], pool: int, target: int) -> list[i
     left in the pool, taking it first and leaving it out second, and drops
     every branch that cannot reach ``target``.  A pool in which no vertex
     has two neighbours is settled without branching, so the set returned can
-    be larger than ``target``.
+    be larger than ``target``; there any order of taking vertices gives a
+    largest set, and the vertices in the bitmask ``prefer`` are taken first.
     """
     chosen: list[int] = []
     pending: list[tuple[int, int]] = []  # (pool, len(chosen)) of branches still to try
@@ -256,10 +257,13 @@ def _independent_search(rows: tuple[int, ...], pool: int, target: int) -> list[i
                 continue
             # isolated vertices and disjoint edges: one end of every edge
             # and every isolated vertex make a largest set
-            while p:
-                c = (p & -p).bit_length() - 1
-                chosen.append(c)
-                p &= ~(rows[c] | (1 << c))
+            for part in (prefer, -1):
+                w = p & part
+                while w:
+                    c = (w & -w).bit_length() - 1
+                    chosen.append(c)
+                    p &= ~(rows[c] | (1 << c))
+                    w &= p
             if len(chosen) >= target:
                 return chosen
         if not pending:

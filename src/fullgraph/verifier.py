@@ -148,29 +148,48 @@ class FullnessReport:
         return {"verdict": self.verdict, "patterns": patterns}
 
 
+def _covering_independent_set(host: Graph, v: int, size: int, left: int) -> dict[int, int] | None:
+    """Role map of an independent set of ``size`` vertices through v, most of them in ``left``."""
+    pool = ((1 << host.order) - 1) & ~host.rows[v] & ~(1 << v)
+    found = _independent_search(host.rows, pool, size - 1, left)
+    if found is None:
+        return None
+    found.sort(key=lambda w: not (left >> w) & 1)
+    return dict(enumerate(sorted([v] + found[: size - 1])))
+
+
 def is_full(host: Graph, patterns: list[Graph]) -> FullnessReport:
     """Coverage report: for each pattern, which host vertices lie in an induced copy.
 
     A found copy covers every host vertex it uses, so later vertices inside
-    it are never searched again for that pattern.
+    it are never searched again for that pattern.  For an edgeless pattern
+    the independent-set search prefers vertices not yet covered, where its
+    choice is free, and the copy keeps them first.
     """
     if not patterns:
         raise ValueError("at least one pattern is required")
     if any(p.order < 1 for p in patterns):
         raise ValueError("patterns must have at least one vertex")
+    full = (1 << host.order) - 1
     coverages = []
     for pattern in patterns:
+        edgeless = is_empty_graph(pattern)
         witnesses: dict[int, dict[int, int]] = {}
         uncovered = []
+        left = full  # host vertices no copy covers yet
         for v in range(host.order):
             if v in witnesses:
                 continue
-            role_map = find_induced_copy_containing(host, pattern, v)
+            if edgeless:
+                role_map = _covering_independent_set(host, v, pattern.order, left)
+            else:
+                role_map = find_induced_copy_containing(host, pattern, v)
             if role_map is None:
                 uncovered.append(v)
             else:
                 for w in role_map.values():
                     witnesses.setdefault(w, role_map)
+                    left &= ~(1 << w)
         coverages.append(PatternCoverage(to_graph6(pattern), witnesses, tuple(uncovered)))
     return FullnessReport(host.order, tuple(coverages))
 

@@ -30,7 +30,7 @@ from fullgraph.bounds import (
     star_upper,
     summarize,
 )
-from fullgraph.constructions import cyclic_full
+from fullgraph.constructions import cyclic_full, h_vs_empty
 from fullgraph.designs import UnsupportedOrderError
 from fullgraph.graphs import (
     Graph,
@@ -190,6 +190,29 @@ class TestHVsEmptyUpper:
                     continue
                 if got.valid:
                     assert got.construction_order <= got.bound, (h.order, n, got)
+
+
+class TestPaperAsymptotics:
+    """f(H, E_n) = n + 2*sqrt(delta(H)*n) + O(1), from the formulas alone."""
+
+    NS = [*range(100, 20001), 10**5 + 7, 10**6, 10**7]
+
+    @pytest.mark.parametrize("h, delta, first_2delta", [
+        (complete(2), 1, None), (path(3), 1, None), (path(5), 1, None),
+        (cycle(4), 2, 105), (complete(3), 2, 105), (cycle(5), 2, 105), (complete(4), 3, 113),
+    ], ids=["K2", "P3", "P5", "C4", "K3", "C5", "K4"])
+    def test_construction_within_2delta_of_the_lower_bound(self, h, delta, first_2delta):
+        # the build's order less the general lower bound is 2*delta - 1 or
+        # 2*delta; the first n with 2*delta is pinned (delta = 1 never has it)
+        gaps = {n: h_vs_empty_upper(h, n).construction_order - general_lower_bound(delta, 0, n)
+                for n in self.NS}
+        assert set(gaps.values()) <= {2 * delta - 1, 2 * delta}
+        assert min((n for n, gap in gaps.items() if gap == 2 * delta), default=None) == first_2delta
+
+    def test_built_host_is_full_at_n_3000(self):
+        host, _ = h_vs_empty(cycle(5), 3000)
+        assert host.order == h_vs_empty_upper(cycle(5), 3000).construction_order
+        assert is_full(host, [cycle(5), empty(3000)]).verdict
 
 
 class TestGeneralLowerBound:

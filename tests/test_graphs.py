@@ -256,9 +256,9 @@ def brute_pool_alpha(rows, pool, memo):
     return memo[pool]
 
 
-def check_search(g, pool, target):
+def check_search(g, pool, target, prefer=0):
     """``_independent_search`` answers exactly when the pool's alpha reaches the target."""
-    got = _independent_search(g.rows, pool, target)
+    got = _independent_search(g.rows, pool, target, prefer)
     if brute_pool_alpha(g.rows, pool, {}) < target:
         assert got is None
         return
@@ -284,6 +284,17 @@ class TestIndependentSearch:
     @given(searches())
     def test_matches_brute_force(self, case):
         check_search(*case)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(searches(), st.integers(0, (1 << 14) - 1))
+    def test_preferred_vertices_change_no_answer(self, case, prefer):
+        check_search(*case, prefer)
+
+    def test_preferred_vertices_go_first_where_the_choice_is_free(self):
+        # a perfect matching is settled without branching: one end of every edge
+        g = Graph.from_edges(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
+        assert sorted(_independent_search(g.rows, 0xFF, 4)) == [0, 2, 4, 6]
+        assert sorted(_independent_search(g.rows, 0xFF, 4, 0b10101000)) == [0, 3, 5, 7]
 
     def test_hubs_over_a_sparse_pool(self):
         # a few hubs joined to most of a sparse pool, with the target near the
