@@ -170,13 +170,12 @@ def is_full(host: Graph, patterns: list[Graph]) -> FullnessReport:
         raise ValueError("at least one pattern is required")
     if any(p.order < 1 for p in patterns):
         raise ValueError("patterns must have at least one vertex")
-    full = (1 << host.order) - 1
     coverages = []
     for pattern in patterns:
         edgeless = is_empty_graph(pattern)
         witnesses: dict[int, dict[int, int]] = {}
         uncovered = []
-        left = full  # host vertices no copy covers yet
+        left = (1 << host.order) - 1  # host vertices no copy covers yet
         for v in range(host.order):
             if v in witnesses:
                 continue
