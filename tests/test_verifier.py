@@ -254,15 +254,6 @@ class TestLargeHosts:
         for role_map in rep.coverages[0].witnesses.values():
             assert recheck_witness(host, cycle(5), role_map)
 
-    def test_matching_needs_two_edgeless_witnesses(self):
-        # each search takes uncovered ends first, so the second covers the rest
-        host = Graph.from_edges(400, [(2 * i, 2 * i + 1) for i in range(200)])
-        rep = is_full(host, [empty(200)])
-        assert rep.verdict
-        maps = {id(m): m for m in rep.coverages[0].witnesses.values()}
-        assert len(maps) == 2
-        assert all(recheck_witness(host, empty(200), m) for m in maps.values())
-
     def test_perfect_matching_against_half_edgeless(self, tmp_path, capsys):
         # raised RecursionError while the independent-set search recursed once per member
         host = Graph.from_edges(2400, [(2 * i, 2 * i + 1) for i in range(1200)])
@@ -274,3 +265,14 @@ class TestLargeHosts:
         f.write_text(to_graph6(host) + "\n")
         assert main(["verify", str(f), "--patterns", "E1200"]) == 0
         assert json.loads(capsys.readouterr().out)["verdict"] is True
+
+
+class TestEdgelessCoverage:
+    def test_matching_needs_two_edgeless_witnesses(self):
+        # each search takes uncovered ends first, so the second covers the rest
+        host = Graph.from_edges(400, [(2 * i, 2 * i + 1) for i in range(200)])
+        rep = is_full(host, [empty(200)])
+        assert rep.verdict
+        maps = {id(m): m for m in rep.coverages[0].witnesses.values()}
+        assert len(maps) == 2
+        assert all(recheck_witness(host, empty(200), m) for m in maps.values())
