@@ -9,9 +9,14 @@ import gc
 import hashlib
 import itertools
 import json
+import os
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fullgraph.graphs import (
     Graph,
@@ -426,3 +431,140 @@ class TestCache:
         r = f_exact([complete(2), empty(2)], cache_dir=tmp_path)
         clone = SearchResult.from_dict(json.loads(json.dumps(r.to_dict())))
         assert clone == r
+
+
+# -- the cache index against a scan of the whole file ---------------------------
+
+
+def scanned_lookup(cache_dir, key):
+    """The lookup as a scan of the whole file on every call: the reference."""
+    path = cache_dir / "f_exact.jsonl"
+    if not path.exists():
+        return None
+    for line in reversed(path.read_text().splitlines()):
+        try:
+            record = json.loads(line)
+            if record["key"] == key:
+                return SearchResult.from_dict(record["result"])
+        except (ValueError, KeyError, TypeError, AttributeError):
+            continue
+    return None
+
+
+INDEX_KEYS = [json.dumps({"hi": 9, "lo": lo, "patterns": ["A_", "Bw"]}, sort_keys=True)
+              for lo in (2, 3, 4)] + ["back\\slash \"quoted\" café", "raw café"]
+INDEX_RESULTS = [
+    SearchResult(patterns=("A_", "Bw"), f=f, witness="Cr" if f else None,
+                 exhausted_orders=tuple(range(2, f or 5)), examined={2: 2, 3: f or 4},
+                 exhaustive=f is not None, note="" if f else "no qualifying graph",
+                 wall_time=0.125 * (i + 1))
+    for i, f in enumerate((4, 5, None))
+]
+
+
+def malformed_lines():
+    k0, k1 = INDEX_KEYS[0], INDEX_KEYS[1]
+    good = INDEX_RESULTS[2].to_dict()
+    nested = dict(good, key=k1)
+    return [
+        "not json at all",
+        "[]",
+        '"text"',
+        "7",
+        json.dumps({"key": k0, "result": {}}),
+        json.dumps({"key": k0, "result": []}),
+        json.dumps({"result": good}),
+        json.dumps({"key": 5, "result": good}),
+        # a line that repeats "key": json keeps the last one, so this names k1
+        f'{{"key": {json.dumps(k0)}, "result": {json.dumps(good)}, "key": {json.dumps(k1)}}}',
+        f'{{"key": {json.dumps(k0)}, "k\\u0065y": {json.dumps(k1)}, "result": {json.dumps(good)}}}',
+        # "key" inside the result names nothing
+        json.dumps({"key": k1, "result": nested}),
+        # UTF-8 written as is rather than escaped
+        json.dumps({"key": INDEX_KEYS[4], "result": good}, ensure_ascii=False),
+    ]
+
+
+def record_line(k, r):
+    return json.dumps({"key": INDEX_KEYS[k], "result": INDEX_RESULTS[r].to_dict()}, sort_keys=True)
+
+
+KEY_INDEX = st.integers(0, len(INDEX_KEYS) - 1)
+RESULT_INDEX = st.integers(0, len(INDEX_RESULTS) - 1)
+CACHE_OPS = st.one_of(
+    st.tuples(st.just("store"), KEY_INDEX, RESULT_INDEX),
+    st.tuples(st.just("malformed"), st.integers(0, len(malformed_lines()) - 1)),
+    st.tuples(st.just("unfinished"), KEY_INDEX, RESULT_INDEX),
+    st.tuples(st.just("newline")),
+    st.tuples(st.sampled_from(["truncate", "shuffle", "grow", "replace"]), st.integers(0, 2**32 - 1)),
+    st.tuples(st.just("delete")),
+)
+
+
+class TestCacheIndex:
+    """``_cache_lookup`` answers what a scan of the whole file answers, after any edit."""
+
+    @staticmethod
+    def apply(path, op):
+        if op[0] == "store":
+            _cache_store(path.parent, INDEX_KEYS[op[1]], INDEX_RESULTS[op[2]])
+            return
+        if op[0] in ("malformed", "unfinished", "newline"):
+            text = {"malformed": lambda: malformed_lines()[op[1]] + "\n",
+                    "unfinished": lambda: record_line(op[1], op[2]),
+                    "newline": lambda: "\n"}[op[0]]()
+            with path.open("ab") as fh:
+                fh.write(text.encode())
+            return
+        if op[0] == "delete":
+            path.unlink(missing_ok=True)
+            return
+        rng = random.Random(op[1])
+        data = path.read_bytes() if path.exists() else b""
+        lines = data.splitlines(keepends=True)
+        if op[0] == "truncate":
+            data = data[:rng.randrange(len(data) + 1)]
+        elif op[0] == "shuffle":
+            rng.shuffle(lines)
+            data = b"".join(lines)
+        else:
+            extra = [(record_line(rng.randrange(len(INDEX_KEYS)), rng.randrange(len(INDEX_RESULTS)))
+                      + "\n").encode() for _ in range(rng.randint(1, 3))]
+            lines[rng.randrange(len(lines) + 1):0] = extra
+            data = b"".join(lines)
+        if op[0] == "replace":
+            fresh = path.with_name("fresh.jsonl")
+            fresh.write_bytes(data)
+            os.replace(fresh, path)
+        else:
+            # in place: same file, new content
+            with path.open("r+b" if path.exists() else "wb") as fh:
+                fh.write(data)
+                fh.truncate()
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(st.lists(CACHE_OPS, max_size=20))
+    def test_matches_a_scan_of_the_whole_file(self, ops):
+        with tempfile.TemporaryDirectory() as tmp:
+            cache_dir = Path(tmp)
+            path = cache_dir / "f_exact.jsonl"
+            for op in ops:
+                self.apply(path, op)
+                for key in INDEX_KEYS:
+                    got, want = _cache_lookup(cache_dir, key), scanned_lookup(cache_dir, key)
+                    assert (got and got.to_dict()) == (want and want.to_dict()), (op, key)
+
+    def test_repeated_key_lines_name_the_last_key(self, tmp_path):
+        lines = malformed_lines()
+        (tmp_path / "f_exact.jsonl").write_text(lines[8] + "\n" + lines[9] + "\n")
+        k0, k1 = INDEX_KEYS[0], INDEX_KEYS[1]
+        assert _cache_lookup(tmp_path, k0) is None
+        assert _cache_lookup(tmp_path, k1) == INDEX_RESULTS[2]
+
+    def test_unfinished_last_line_is_read_but_completed_later(self, tmp_path):
+        path = tmp_path / "f_exact.jsonl"
+        path.write_text(record_line(0, 0) + "\n" + record_line(0, 1))
+        assert _cache_lookup(tmp_path, INDEX_KEYS[0]).to_dict() == INDEX_RESULTS[1].to_dict()
+        with path.open("a") as fh:
+            fh.write("x\n")
+        assert _cache_lookup(tmp_path, INDEX_KEYS[0]).to_dict() == INDEX_RESULTS[0].to_dict()
