@@ -55,6 +55,24 @@ def random_graph(rng, lo=0, hi=10):
     return Graph.from_edges(n, edges)
 
 
+def pairwise_graph6(g):
+    """graph6 built one vertex pair at a time: the reference for the encoder."""
+    n = g.order
+    head = chr(63 + n) if n <= 62 else "~" + "".join(chr(63 + ((n >> s) & 63)) for s in (12, 6, 0))
+    chars = []
+    acc, nbits = 0, 0
+    for v in range(1, n):
+        for u in range(v):
+            acc = (acc << 1) | ((g.rows[v] >> u) & 1)
+            nbits += 1
+            if nbits == 6:
+                chars.append(chr(63 + acc))
+                acc, nbits = 0, 0
+    if nbits:
+        chars.append(chr(63 + (acc << (6 - nbits))))
+    return head + "".join(chars)
+
+
 class TestGraphBasics:
     def test_rejects_asymmetric_rows(self):
         with pytest.raises(ValueError):
@@ -348,6 +366,13 @@ class TestGraph6:
         assert from_graph6(s) == g
         g2 = Graph.from_edges(70, [(0, 69)])
         assert from_graph6(to_graph6(g2)) == g2
+
+    def test_matches_the_pair_by_pair_encoder(self):
+        rng = random.Random(4023)
+        for n in [*range(70), 150, 300]:
+            for _ in range(3):
+                g = random_graph(rng, n, n)
+                assert to_graph6(g) == pairwise_graph6(g), n
 
     def test_decoder_rejects_truncation(self):
         with pytest.raises(Graph6Error):
