@@ -23,6 +23,15 @@ Search: a vertex playing role q of a pattern H has deg_H(q) neighbours and
 n(H)-1-deg_H(q) non-neighbours in the copy, so a host with a vertex whose
 degree fits no role of some pattern cannot be full and is skipped before any
 copy search.
+
+Cache: results are appended to ``f_exact.jsonl``, one JSON record a line.
+Each process indexes the file once: it keeps the bytes of the whole lines it
+has read and, for each key, where the lines naming it start.  Every lookup
+reads the file again; if it still begins with those bytes exactly, only the
+lines appended since (by this process or another) are indexed, and otherwise
+(shrunk, rewritten, replaced) the index is built again from the first byte.
+No size, time or inode is trusted.  A lookup parses only the lines that name
+its key, newest first, and returns the first well-formed record among them.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+from json.decoder import scanstring
 from pathlib import Path
 from typing import Iterator
 
@@ -299,20 +309,88 @@ def resolve_cache_dir(explicit: str | Path | None = None) -> Path:
 def _cache_file(cache_dir: Path) -> Path:
     return cache_dir / "f_exact.jsonl"
 
+
+# cache file -> (its whole lines as last read, hash of each key -> start of
+# the newest line naming it, start of a line -> start of the line before it
+# whose key has the same hash).  Keys are kept as hashes only: a line found is
+# parsed again, and its key compared, before it is used.
+_INDEX: dict[Path, tuple[bytes, dict[int, int], dict[int, int]]] = {}
+_KEY_HEAD = '{"key": "'
+_READ_CHUNK = 1 << 15
+
+
+def _line_key(line: bytes) -> str | None:
+    """The key a cache line names if the line is a record.
+
+    A line as ``_cache_store`` writes it starts with its key, which is read
+    without parsing the rest, unless the rest could hold another member named
+    key (JSON keeps the last); other lines are parsed whole.  So a line that
+    is not a record may still give a key; a lookup parses it again and skips it.
+    """
+    try:
+        text = line.decode()
+        if text.startswith(_KEY_HEAD):
+            key, end = scanstring(text, len(_KEY_HEAD))
+            if text.find('"key"', end) < 0 and text.find("\\u", end) < 0:
+                return key
+        key = json.loads(text)["key"]
+    except (ValueError, KeyError, TypeError):
+        return None
+    return key if isinstance(key, str) else None
+
+
 def _cache_lookup(cache_dir: Path, key: str) -> SearchResult | None:
     path = _cache_file(cache_dir)
-    if not path.exists():
+    indexed, newest, older = _INDEX.get(path, (b"", {}, {}))
+    try:
+        with path.open("rb") as fh:
+            # the file must still begin with the lines indexed, byte for byte;
+            # comparing a chunk at a time keeps one copy of them in memory
+            chunks = (indexed[i:i + _READ_CHUNK] for i in range(0, len(indexed), _READ_CHUNK))
+            if all(fh.read(len(chunk)) == chunk for chunk in chunks):
+                tail = fh.read()
+            else:  # shrunk, rewritten or replaced
+                fh.seek(0)
+                indexed, newest, older, tail = b"", {}, {}, fh.read()
+    except (FileNotFoundError, NotADirectoryError):
+        _INDEX.pop(path, None)
         return None
+    pos, end = 0, tail.rfind(b"\n") + 1
+    while pos < end:
+        stop = tail.index(b"\n", pos)
+        if (k := _line_key(tail[pos:stop])) is not None:
+            start = len(indexed) + pos
+            if (h := hash(k)) in newest:
+                older[start] = newest[h]
+            newest[h] = start
+        pos = stop + 1
+    indexed += tail[:end]
+    _INDEX[path] = (indexed, newest, older)
     # append-only file: the last well-formed record for the key wins, and
     # lines that are not JSON, or not a record, are skipped
-    for line in reversed(path.read_text().splitlines()):
+    for line in _lines_naming(key, indexed, newest, older, tail[end:]):
         try:
-            record = json.loads(line)
+            record = json.loads(line.decode())
             if record["key"] == key:
                 return SearchResult.from_dict(record["result"])
         except (ValueError, KeyError, TypeError, AttributeError):
             continue
     return None
+
+
+def _lines_naming(key: str, indexed: bytes, newest: dict[int, int], older: dict[int, int],
+                  unfinished: bytes) -> Iterator[bytes]:
+    """Lines that may name ``key``, newest first.
+
+    An unfinished last line comes first: it is read on every lookup, but
+    indexed only once its newline is written.
+    """
+    if unfinished:
+        yield unfinished
+    start = newest.get(hash(key))
+    while start is not None:
+        yield indexed[start:indexed.index(b"\n", start)]
+        start = older.get(start)
 
 
 def _cache_store(cache_dir: Path, key: str, result: SearchResult) -> None:

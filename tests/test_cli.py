@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fullgraph import bounds, cli
+from fullgraph import bounds, cli, oracle
 from fullgraph.cli import main
 from fullgraph.graphs import cycle, from_graph6, to_graph6
 from fullgraph.verifier import is_full
@@ -290,6 +290,21 @@ class TestSearch:
         again = run("search", "--patterns", "K2,E2", "--cache-dir", str(tmp_path))
         assert again.returncode == 0, again.stderr
         assert again.stdout == first.stdout
+
+    def test_records_another_process_appends_are_seen(self, tmp_path):
+        cache_file = tmp_path / "f_exact.jsonl"
+        mine = oracle.f_exact(parse_pattern_list("K2,E2"), cache_dir=tmp_path)
+        key = json.loads(cache_file.read_text())["key"]
+        assert oracle._cache_lookup(tmp_path, key) == mine
+        lines = cache_file.read_bytes().count(b"\n")
+        p = run("search", "--patterns", "K2,E3", "--cache-dir", str(tmp_path))
+        assert p.returncode == 0, p.stderr
+        data = cache_file.read_bytes()
+        assert data.count(b"\n") == lines + 1
+        record = json.loads(data.splitlines()[-1])
+        theirs = oracle._cache_lookup(tmp_path, record["key"])
+        assert theirs is not None and theirs.to_dict() == record["result"]
+        assert oracle._cache_lookup(tmp_path, key) == mine
 
     def test_env_cache_dir(self, tmp_path):
         p = run("search", "--patterns", "K2,E2", env={"FULLGRAPH_CACHE": str(tmp_path)})
