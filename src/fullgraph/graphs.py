@@ -335,7 +335,17 @@ def star_center(g: Graph) -> int | None:
 _G6_MAX_ORDER = 258047  # largest order expressible with the three-byte size prefix
 
 
+# each six-bit group, as a string of 0s and 1s, -> its graph6 character
+_G6_CHAR = {format(x, "06b"): chr(63 + x) for x in range(64)}
+_G6_BLOCK = 6 << 10  # bits converted at a time, so no whole bit string is built
+
+
 def to_graph6(g: Graph) -> str:
+    """graph6 of g: the upper triangle column by column, six bits a character.
+
+    Column v's bits (u = 0..v-1) are the low v bits of row v, reversed; they
+    are converted a block at a time through a table of the 64 groups.
+    """
     n = g.order
     if n > _G6_MAX_ORDER:
         raise ValueError(f"graph6 supports order at most {_G6_MAX_ORDER}")
@@ -343,19 +353,17 @@ def to_graph6(g: Graph) -> str:
         head = chr(63 + n)
     else:
         head = "~" + "".join(chr(63 + ((n >> s) & 63)) for s in (12, 6, 0))
-    chars = []
-    acc, nbits = 0, 0
+    out = [head]
+    bits = ""
     for v in range(1, n):
-        col = g.rows[v]
-        for u in range(v):
-            acc = (acc << 1) | ((col >> u) & 1)
-            nbits += 1
-            if nbits == 6:
-                chars.append(chr(63 + acc))
-                acc, nbits = 0, 0
-    if nbits:
-        chars.append(chr(63 + (acc << (6 - nbits))))
-    return head + "".join(chars)
+        bits += format(g.rows[v] & ((1 << v) - 1), f"0{v}b")[::-1]
+        if len(bits) >= _G6_BLOCK or v == n - 1:
+            if v == n - 1:
+                bits += "0" * (-len(bits) % 6)
+            cut = len(bits) - len(bits) % 6
+            out.append("".join([_G6_CHAR[bits[i:i + 6]] for i in range(0, cut, 6)]))
+            bits = bits[cut:]
+    return "".join(out)
 
 
 def from_graph6(text: str) -> Graph:

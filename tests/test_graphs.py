@@ -408,6 +408,18 @@ class TestGraph6:
         assert decoded == g
         assert peak < 10 * 2**20
 
+    def test_encoder_converts_in_blocks(self):
+        # the 99,104-character string plus bounded blocks, never all 594,595 bits at once
+        g, _ = h_vs_empty(cycle(5), 1000)
+        tracemalloc.start()
+        try:
+            s = to_graph6(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert s == pairwise_graph6(g)
+        assert peak < 2**19
+
     def test_decoder_accepts_trailing_newline(self):
         assert from_graph6("A_\n") == complete(2)
         assert from_graph6("A_\r\n") == complete(2)
