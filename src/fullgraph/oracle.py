@@ -367,8 +367,14 @@ def _cache_lookup(cache_dir: Path, key: str) -> SearchResult | None:
     indexed += tail[:end]
     _INDEX[path] = (indexed, newest, older)
     # append-only file: the last well-formed record for the key wins, and
-    # lines that are not JSON, or not a record, are skipped
-    for line in _lines_naming(key, indexed, newest, older, tail[end:]):
+    # lines that are not JSON, or not a record, are skipped.  An unfinished
+    # last line is the newest; it is read, but indexed only once it ends.
+    lines = [tail[end:]] if end < len(tail) else []
+    start = newest.get(hash(key))
+    while start is not None:
+        lines.append(indexed[start:indexed.index(b"\n", start)])
+        start = older.get(start)
+    for line in lines:
         try:
             record = json.loads(line.decode())
             if record["key"] == key:
@@ -376,21 +382,6 @@ def _cache_lookup(cache_dir: Path, key: str) -> SearchResult | None:
         except (ValueError, KeyError, TypeError, AttributeError):
             continue
     return None
-
-
-def _lines_naming(key: str, indexed: bytes, newest: dict[int, int], older: dict[int, int],
-                  unfinished: bytes) -> Iterator[bytes]:
-    """Lines that may name ``key``, newest first.
-
-    An unfinished last line comes first: it is read on every lookup, but
-    indexed only once its newline is written.
-    """
-    if unfinished:
-        yield unfinished
-    start = newest.get(hash(key))
-    while start is not None:
-        yield indexed[start:indexed.index(b"\n", start)]
-        start = older.get(start)
 
 
 def _cache_store(cache_dir: Path, key: str, result: SearchResult) -> None:
