@@ -343,8 +343,9 @@ _G6_BLOCK = 6 << 10  # bits converted at a time, so no whole bit string is built
 def to_graph6(g: Graph) -> str:
     """graph6 of g: the upper triangle column by column, six bits a character.
 
-    Column v's bits (u = 0..v-1) are the low v bits of row v, reversed; they
-    are converted a block at a time through a table of the 64 groups.
+    Column v's bits (u = 0..v-1) are the low v bits of row v, reversed (read
+    below a sentinel bit v, so that leading zeros stay); they are converted a
+    block at a time through a table of the 64 groups.
     """
     n = g.order
     if n > _G6_MAX_ORDER:
@@ -353,10 +354,11 @@ def to_graph6(g: Graph) -> str:
         head = chr(63 + n)
     else:
         head = "~" + "".join(chr(63 + ((n >> s) & 63)) for s in (12, 6, 0))
+    rows = g.rows
     out = [head]
     bits = ""
     for v in range(1, n):
-        bits += format(g.rows[v] & ((1 << v) - 1), f"0{v}b")[::-1]
+        bits += bin(rows[v] & ((1 << v) - 1) | 1 << v)[:2:-1]
         if len(bits) >= _G6_BLOCK or v == n - 1:
             if v == n - 1:
                 bits += "0" * (-len(bits) % 6)

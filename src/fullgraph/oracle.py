@@ -356,6 +356,8 @@ def _cache_lookup(cache_dir: Path, key: str) -> SearchResult | None:
         _INDEX.pop(path, None)
         return None
     pos, end = 0, tail.rfind(b"\n") + 1
+    if end:  # index into copies: another thread may be reading these
+        newest, older = dict(newest), dict(older)
     while pos < end:
         stop = tail.index(b"\n", pos)
         if (k := _line_key(tail[pos:stop])) is not None:

@@ -11,7 +11,10 @@ import itertools
 import json
 import os
 import random
+import sys
 import tempfile
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -568,3 +571,43 @@ class TestCacheIndex:
         with path.open("a") as fh:
             fh.write("x\n")
         assert _cache_lookup(tmp_path, INDEX_KEYS[0]).to_dict() == INDEX_RESULTS[0].to_dict()
+
+    def test_undecodable_line_is_skipped(self, tmp_path):
+        # the whole-file scan raised UnicodeDecodeError here
+        (tmp_path / "f_exact.jsonl").write_bytes(b"\xff\xfe\n" + record_line(0, 0).encode() + b"\n")
+        assert _cache_lookup(tmp_path, INDEX_KEYS[0]) == INDEX_RESULTS[0]
+        assert _cache_lookup(tmp_path, INDEX_KEYS[1]) is None
+
+    def test_threads_share_the_index(self, tmp_path):
+        # each key's newest line is malformed, so a lookup walks past it to the
+        # record before; a line indexed twice would make that walk circular
+        keys = [f"threaded {i}" for i in range(60)]
+        want = {k: INDEX_RESULTS[i % len(INDEX_RESULTS)] for i, k in enumerate(keys)}
+        wrong, stop = [], threading.Event()
+
+        def reader():
+            while not stop.is_set():
+                for k in keys:
+                    found = _cache_lookup(tmp_path, k)
+                    if found is not None and found.to_dict() != want[k].to_dict():
+                        wrong.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, daemon=True) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for k in keys:
+                with (tmp_path / "f_exact.jsonl").open("a") as fh:
+                    fh.write(json.dumps({"key": k, "result": want[k].to_dict()}, sort_keys=True)
+                             + "\n" + json.dumps({"key": k, "result": {}}) + "\n")
+                time.sleep(0.001)
+            stop.set()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not wrong
+        assert all(_cache_lookup(tmp_path, k) == want[k] for k in keys)
