@@ -1,5 +1,6 @@
 """Command-line interface: JSON output, exit codes, file handling."""
 
+import hashlib
 import io
 import json
 import subprocess
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from fullgraph import bounds, cli, oracle
 from fullgraph.cli import main
+from fullgraph.constructions import h_vs_empty
 from fullgraph.graphs import cycle, from_graph6, to_graph6
 from fullgraph.verifier import is_full
 from fullgraph.patterns import parse_pattern_list
@@ -222,6 +224,15 @@ class TestVerify:
         p = run("verify", str(f), "--patterns", "P3,E3")
         report = is_full(host, parse_pattern_list("P3,E3"))
         assert p.stdout == json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+
+    def test_large_report_is_pinned(self, tmp_path, capsys):
+        # 16.7 MB of JSON: pins both the printer and the edgeless witnesses chosen
+        host, _ = h_vs_empty(cycle(5), 1000)
+        f = tmp_path / "h1091.g6"
+        f.write_text(to_graph6(host) + "\n")
+        assert main(["verify", str(f), "--patterns", "C5,E1000"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha1(out.encode()).hexdigest() == "2af4831eb857a81dfda3730308e97dfa251ef741"
 
 
 class TestBound:
