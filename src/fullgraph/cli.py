@@ -13,8 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from json.encoder import INFINITY as _INF
-from json.encoder import encode_basestring_ascii
 
 from . import bounds, constructions, designs, oracle, verifier
 from .bounds import InternalInvariantError
@@ -24,52 +22,31 @@ from .patterns import parse_pattern_list
 _THEOREMS = ("cyclic", "design", "h_vs_empty", "star", "complete_bipartite", "delta_zero")
 
 
-def _scalar(o) -> str:
-    """One JSON scalar, spelled as ``json.dumps`` spells it."""
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        if o != o:
-            return "NaN"
-        if o == _INF:
-            return "Infinity"
-        if o == -_INF:
-            return "-Infinity"
-        return float.__repr__(o)
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-
 def _chunks(o, nl: str, encoded: dict):
     """Pieces of ``o`` as JSON with sorted keys and an indent of 2.
 
-    ``nl`` is a newline and the indent of the line ``o`` starts on.  A list
-    of scalars is one piece, and ``encoded`` keeps it by (id, nl), so a list
-    object that recurs at one depth is encoded once.
+    ``nl`` is a newline and the indent of the line ``o`` starts on.  ``json``
+    spells keys, scalars and empty containers, and a list of scalars in one
+    call with ``nl`` in its item separator.  ``encoded`` keeps that by (id,
+    nl), so a list object that recurs at one depth is scanned and encoded once.
     """
-    if isinstance(o, dict):
-        if not o:
-            yield "{}"
-            return
+    if not isinstance(o, (dict, list, tuple)) or not o:
+        yield json.dumps(o)
+    elif isinstance(o, dict):
         if not all(isinstance(key, str) for key in o):
             raise TypeError("dict keys must be str")
         inner = nl + "  "
         sep = "{"
         for key in sorted(o):
-            yield sep + inner + encode_basestring_ascii(key) + ": "
+            yield sep + inner + json.dumps(key) + ": "
             yield from _chunks(o[key], inner, encoded)
             sep = ","
         yield nl + "}"
-    elif isinstance(o, (list, tuple)):
-        if not o:
-            yield "[]"
+    else:
+        key = (id(o), nl)
+        text = encoded.get(key)
+        if text is not None:
+            yield text
             return
         inner = nl + "  "
         if any(isinstance(item, (dict, list, tuple)) for item in o):
@@ -80,26 +57,20 @@ def _chunks(o, nl: str, encoded: dict):
                 sep = ","
             yield nl + "]"
             return
-        key = (id(o), nl)
-        text = encoded.get(key)
-        if text is None:
-            text = encoded[key] = "[" + inner + ("," + inner).join(map(_scalar, o)) + nl + "]"
+        text = encoded[key] = "[" + inner + json.dumps(o, separators=("," + inner, ": "))[1:-1] + nl + "]"
         yield text
-    else:
-        yield _scalar(o)
 
 
 def _emit(payload: dict) -> None:
     """Print what ``json.dump(payload, sys.stdout, sort_keys=True, indent=2)`` prints, and a newline.
 
     With ``indent`` set, ``json`` encodes in pure Python and writes every
-    token by itself; this writes a list of scalars in one piece and encodes a
-    list object that recurs once.  Dict keys must be str.
+    token by itself; this writes a list of scalars in one piece, spelled by
+    the C encoder, and encodes a list object that recurs once.  Dict keys
+    must be str.
     """
-    write = sys.stdout.write
-    for piece in _chunks(payload, "\n", {}):
-        write(piece)
-    write("\n")
+    sys.stdout.writelines(_chunks(payload, "\n", {}))
+    sys.stdout.write("\n")
 
 
 def _read_host(path: str):

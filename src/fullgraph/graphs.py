@@ -292,11 +292,12 @@ def alpha_with_vertex(g: Graph, v: int) -> int:
     return 1 + _max_independent_size(g.rows, pool)
 
 
-def independent_set_with(g: Graph, v: int, size: int) -> list[int] | None:
+def independent_set_with(g: Graph, v: int, size: int, prefer: int = 0) -> list[int] | None:
     """Some independent set of exactly ``size`` vertices containing v, or None.
 
     Far faster than generic pattern matching when the target pattern has
-    no edges.
+    no edges.  Where the choice is free, vertices in the bitmask ``prefer``
+    are taken first and kept first.
     """
     if not 0 <= v < g.order:
         raise ValueError(f"vertex {v} outside 0..{g.order - 1}")
@@ -305,8 +306,11 @@ def independent_set_with(g: Graph, v: int, size: int) -> list[int] | None:
     if size > g.order:
         return None
     pool = ((1 << g.order) - 1) & ~g.rows[v] & ~(1 << v)
-    found = _independent_search(g.rows, pool, size - 1)
-    return None if found is None else sorted([v] + found[: size - 1])
+    found = _independent_search(g.rows, pool, size - 1, prefer)
+    if found is None:
+        return None
+    found.sort(key=lambda w: not (prefer >> w) & 1)
+    return sorted([v] + found[: size - 1])
 
 
 # -- structure detectors -----------------------------------------------------

@@ -5,7 +5,7 @@ vertices first, the rest in a static connectivity order.  A level's host
 candidates are one bitmask, the AND of the host rows of the images of its
 placed pattern neighbours and of the complemented rows of the images of its
 placed non-neighbours, less the used vertices: copies are induced, so edges
-and non-edges both match.  Edgeless patterns use the independent-set search.
+and non-edges both match.  Edgeless patterns use ``independent_set_with``.
 """
 
 from __future__ import annotations
@@ -148,16 +148,6 @@ class FullnessReport:
         return {"verdict": self.verdict, "patterns": patterns}
 
 
-def _covering_independent_set(host: Graph, v: int, size: int, left: int) -> dict[int, int] | None:
-    """Role map of an independent set of ``size`` vertices through v, most of them in ``left``."""
-    pool = ((1 << host.order) - 1) & ~host.rows[v] & ~(1 << v)
-    found = _independent_search(host.rows, pool, size - 1, left)
-    if found is None:
-        return None
-    found.sort(key=lambda w: not (left >> w) & 1)
-    return dict(enumerate(sorted([v] + found[: size - 1])))
-
-
 def is_full(host: Graph, patterns: list[Graph]) -> FullnessReport:
     """Coverage report: for each pattern, which host vertices lie in an induced copy.
 
@@ -180,7 +170,8 @@ def is_full(host: Graph, patterns: list[Graph]) -> FullnessReport:
             if v in witnesses:
                 continue
             if edgeless:
-                role_map = _covering_independent_set(host, v, pattern.order, left)
+                members = independent_set_with(host, v, pattern.order, left)
+                role_map = None if members is None else dict(enumerate(members))
             else:
                 role_map = find_induced_copy_containing(host, pattern, v)
             if role_map is None:
