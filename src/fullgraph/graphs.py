@@ -376,7 +376,7 @@ def from_graph6(text: str) -> Graph:
     s = text.rstrip("\r\n")
     if not s:
         raise Graph6Error("empty graph6 string", 0)
-    data = s.encode("ascii", errors="replace")
+    data = s.encode("utf-8", "surrogatepass")  # any non-ASCII character gives a byte above 126
     pos = 0
 
     def take(why: str) -> int:

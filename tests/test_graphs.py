@@ -388,6 +388,10 @@ class TestGraph6:
         with pytest.raises(Graph6Error) as exc:
             from_graph6("A\x1f")
         assert "offset" in str(exc.value)
+        for text in ("A\u00e9", "A\udcc3"):  # non-ASCII, and a lone surrogate
+            with pytest.raises(Graph6Error) as exc:
+                from_graph6(text)
+            assert exc.value.offset == 1
 
     def test_decoder_rejects_nonzero_padding(self):
         # K2 body is 0b010000 plus padding zeros; set a padding bit
