@@ -38,7 +38,7 @@ def test_every_wrapped_name_is_present():
 
 
 def test_edgeless_copies_go_through_the_wrapped_search():
-    # is_full's edgeless searches once bypassed independent_set_with and read 0 here
+    # the edgeless searches of is_full must reach the wrapped name, or its count reads 0
     summary = traced_summary("from fullgraph import graphs, verifier\n"
                              "verifier.is_full(graphs.cycle(8), [graphs.empty(3)])")
     assert summary["calls"]["graphs.independent_set_with"] > 0
