@@ -439,6 +439,11 @@ class TestCache:
 # -- the cache index against a scan of the whole file ---------------------------
 
 
+def store_head(key):
+    """How every record ``_cache_store`` writes for ``key`` begins."""
+    return ('{"key": ' + json.dumps(key) + ', "result": ').encode()
+
+
 def scanned_lookup(cache_dir, key):
     """The lookup as a scan of the whole file on every call: the reference."""
     path = cache_dir / "f_exact.jsonl"
@@ -506,6 +511,17 @@ CACHE_OPS = st.one_of(
 
 class TestCacheIndex:
     """``_cache_lookup`` answers what a scan of the whole file answers, after any edit."""
+
+    def test_store_spelling_is_pinned(self, tmp_path):
+        # the lookup finds a record by the bytes its line starts with
+        result = SearchResult(patterns=("A_", "Bw"), f=4, witness="Cr", exhausted_orders=(2, 3),
+                              examined={2: 2, 3: 4}, exhaustive=True, wall_time=0.125)
+        _cache_store(tmp_path, 'caf\u00e9 "q"', result)
+        assert (tmp_path / "f_exact.jsonl").read_bytes() == (
+            b'{"key": "caf\\u00e9 \\"q\\"", "result": {"examined": {"2": 2, "3": 4}, '
+            b'"exhausted_orders": [2, 3], "exhaustive": true, "f": 4, "note": "", '
+            b'"patterns": ["A_", "Bw"], "wall_time": 0.125, "witness": "Cr"}}\n')
+        assert (tmp_path / "f_exact.jsonl").read_bytes().startswith(store_head('caf\u00e9 "q"'))
 
     @staticmethod
     def apply(path, op):
