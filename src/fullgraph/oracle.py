@@ -24,14 +24,14 @@ n(H)-1-deg_H(q) non-neighbours in the copy, so a host with a vertex whose
 degree fits no role of some pattern cannot be full and is skipped before any
 copy search.
 
-Cache: results are appended to ``f_exact.jsonl``, one JSON record a line.
-Each process indexes the file once: it keeps the bytes of the whole lines it
-has read and, for each key, where the lines naming it start.  Every lookup
-reads the file again; if it still begins with those bytes exactly, only the
-lines appended since (by this process or another) are indexed, and otherwise
-(shrunk, rewritten, replaced) the index is built again from the first byte.
-No size, time or inode is trusted.  A lookup parses only the lines that name
-its key, newest first, and returns the first well-formed record among them.
+Cache: results are appended to ``f_exact.jsonl``, one JSON record a line,
+each spelled by ``json.dumps(..., sort_keys=True)`` with the default
+separators, so a record of a key starts with ``{"key": <the key as json.dumps
+spells it>, "result": ``.  A lookup reads the file and searches its bytes
+backwards for that head at the start of a line; it parses each such line
+whole, checks its key, and returns the first well-formed record, the newest.
+Nothing is kept between lookups.  A line that spells a key otherwise (a
+repeated or escaped member name, unescaped non-ASCII) is no record of it.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from json.decoder import scanstring
 from pathlib import Path
 from typing import Iterator
 
@@ -310,75 +309,21 @@ def _cache_file(cache_dir: Path) -> Path:
     return cache_dir / "f_exact.jsonl"
 
 
-# cache file -> (its whole lines as last read, hash of each key -> start of
-# the newest line naming it, start of a line -> start of the line before it
-# whose key has the same hash).  Keys are kept as hashes only: a line found is
-# parsed again, and its key compared, before it is used.
-_INDEX: dict[Path, tuple[bytes, dict[int, int], dict[int, int]]] = {}
-_KEY_HEAD = '{"key": "'
-_READ_CHUNK = 1 << 15
-
-
-def _line_key(line: bytes) -> str | None:
-    """The key a cache line names if the line is a record.
-
-    A line as ``_cache_store`` writes it starts with its key, which is read
-    without parsing the rest, unless the rest could hold another member named
-    key (JSON keeps the last); other lines are parsed whole.  So a line that
-    is not a record may still give a key; a lookup parses it again and skips it.
-    """
-    try:
-        text = line.decode()
-        if text.startswith(_KEY_HEAD):
-            key, end = scanstring(text, len(_KEY_HEAD))
-            if text.find('"key"', end) < 0 and text.find("\\u", end) < 0:
-                return key
-        key = json.loads(text)["key"]
-    except (ValueError, KeyError, TypeError):
-        return None
-    return key if isinstance(key, str) else None
-
-
 def _cache_lookup(cache_dir: Path, key: str) -> SearchResult | None:
-    path = _cache_file(cache_dir)
-    indexed, newest, older = _INDEX.get(path, (b"", {}, {}))
     try:
-        with path.open("rb") as fh:
-            # the file must still begin with the lines indexed, byte for byte;
-            # comparing a chunk at a time keeps one copy of them in memory
-            chunks = (indexed[i:i + _READ_CHUNK] for i in range(0, len(indexed), _READ_CHUNK))
-            if all(fh.read(len(chunk)) == chunk for chunk in chunks):
-                tail = fh.read()
-            else:  # shrunk, rewritten or replaced
-                fh.seek(0)
-                indexed, newest, older, tail = b"", {}, {}, fh.read()
+        data = _cache_file(cache_dir).read_bytes()
     except (FileNotFoundError, NotADirectoryError):
-        _INDEX.pop(path, None)
         return None
-    pos, end = 0, tail.rfind(b"\n") + 1
-    if end:  # index into copies: another thread may be reading these
-        newest, older = dict(newest), dict(older)
-    while pos < end:
-        stop = tail.index(b"\n", pos)
-        if (k := _line_key(tail[pos:stop])) is not None:
-            start = len(indexed) + pos
-            if (h := hash(k)) in newest:
-                older[start] = newest[h]
-            newest[h] = start
-        pos = stop + 1
-    indexed += tail[:end]
-    _INDEX[path] = (indexed, newest, older)
-    # append-only file: the last well-formed record for the key wins, and
-    # lines that are not JSON, or not a record, are skipped.  An unfinished
-    # last line is the newest; it is read, but indexed only once it ends.
-    lines = [tail[end:]] if end < len(tail) else []
-    start = newest.get(hash(key))
-    while start is not None:
-        lines.append(indexed[start:indexed.index(b"\n", start)])
-        start = older.get(start)
-    for line in lines:
+    # the head holds one '{"', at its start, so two of its hits never overlap
+    head = ('{"key": ' + json.dumps(key) + ', "result": ').encode()
+    end = len(data)
+    while (start := data.rfind(head, 0, end)) >= 0:
+        end = start
+        if start and data[start - 1] != ord("\n"):
+            continue
+        stop = data.find(b"\n", start)
         try:
-            record = json.loads(line.decode())
+            record = json.loads(data[start:stop if stop >= 0 else None].decode())
             if record["key"] == key:
                 return SearchResult.from_dict(record["result"])
         except (ValueError, KeyError, TypeError, AttributeError):
@@ -437,14 +382,15 @@ def f_exact(
         if p.order < 1:
             raise ValueError("patterns must have at least one vertex")
     hi = ENUMERATION_ORDER_CAP if upper_hint is None else upper_hint
-    lo = max(p.order for p in patterns)
-    if lower_hint is not None:
-        lo = max(lo, lower_hint)
+    lo, origin = max(p.order for p in patterns), "the largest pattern order"
+    if lower_hint is not None and lower_hint > lo:
+        lo, origin = lower_hint, "the lower hint"
     if lo > hi:
-        raise ValueError(f"inconsistent hints: search would start at {lo} but stop at {hi}")
+        raise ValueError(f"search would start at {lo}, {origin}, but stop at {hi}")
 
     canon = tuple(sorted(canonical_form(p).decode("ascii") for p in patterns))
-    key = json.dumps({"patterns": list(canon), "lo": lo, "hi": hi}, sort_keys=True)
+    # version 2: records from before the note on unexamined orders was corrected are never hit
+    key = json.dumps({"patterns": list(canon), "lo": lo, "hi": hi, "version": 2}, sort_keys=True)
     cdir = resolve_cache_dir(cache_dir)
     cached = _cache_lookup(cdir, key)
     if cached is not None:

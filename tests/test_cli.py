@@ -337,6 +337,13 @@ class TestSearch:
         assert json.loads(p.stdout)["f"] == 4
 
 
+    def test_pattern_above_the_cap_names_the_start(self, tmp_path):
+        # no hint was given: the scan would start at the largest pattern order
+        p = run("search", "--patterns", "K10", "--cache-dir", str(tmp_path))
+        assert p.returncode == 2
+        assert p.stderr == "error: search would start at 10, the largest pattern order, but stop at 9\n"
+
+
 class TestDesignCommand:
     def test_emits_valid_design(self, tmp_path):
         p = run("design", "--q", "3")

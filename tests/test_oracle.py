@@ -421,6 +421,18 @@ class TestCache:
         for i, key in enumerate(keys):
             assert _cache_lookup(tmp_path, key) == results[i % 2]
 
+    def test_records_under_the_old_key_shape_are_not_answered(self, tmp_path):
+        # keys without a version were written before the note on unexamined
+        # orders was corrected; such a record is never a hit
+        canon = sorted(canonical_form(g).decode() for g in (complete(2), empty(2)))
+        stale = SearchResult(patterns=tuple(canon), f=None, witness=None, exhausted_orders=(2, 3, 4),
+                             examined={2: 2, 3: 4, 4: 11}, exhaustive=False, note="stale")
+        _cache_store(tmp_path, json.dumps({"hi": 9, "lo": 2, "patterns": canon}, sort_keys=True), stale)
+        assert f_exact([complete(2), empty(2)], cache_dir=tmp_path).f == 4
+        keys = [json.loads(line)["key"] for line in (tmp_path / "f_exact.jsonl").read_text().splitlines()]
+        assert len(keys) == 2
+        assert json.loads(keys[1]) == {"hi": 9, "lo": 2, "patterns": canon, "version": 2}
+
     def test_resolution_order(self, tmp_path, monkeypatch):
         explicit = tmp_path / "explicit"
         env = tmp_path / "env"
@@ -436,7 +448,7 @@ class TestCache:
         assert clone == r
 
 
-# -- the cache index against a scan of the whole file ---------------------------
+# -- the cache lookup against a scan of the whole file --------------------------
 
 
 def store_head(key):
@@ -445,13 +457,19 @@ def store_head(key):
 
 
 def scanned_lookup(cache_dir, key):
-    """The lookup as a scan of the whole file on every call: the reference."""
+    """The lookup as a scan of the whole file on every call: the reference.
+
+    Only a line that begins as ``_cache_store`` spells a record of ``key`` is
+    a candidate; the newest one that parses and names the key wins.
+    """
     path = cache_dir / "f_exact.jsonl"
     if not path.exists():
         return None
-    for line in reversed(path.read_text().splitlines()):
+    for line in reversed(path.read_bytes().split(b"\n")):
+        if not line.startswith(store_head(key)):
+            continue
         try:
-            record = json.loads(line)
+            record = json.loads(line.decode())
             if record["key"] == key:
                 return SearchResult.from_dict(record["result"])
         except (ValueError, KeyError, TypeError, AttributeError):
@@ -483,7 +501,8 @@ def malformed_lines():
         json.dumps({"key": k0, "result": []}),
         json.dumps({"result": good}),
         json.dumps({"key": 5, "result": good}),
-        # a line that repeats "key": json keeps the last one, so this names k1
+        # json keeps the last of repeated members and reads escapes in member
+        # names, so these two parse as records of k1, in a spelling no store writes
         f'{{"key": {json.dumps(k0)}, "result": {json.dumps(good)}, "key": {json.dumps(k1)}}}',
         f'{{"key": {json.dumps(k0)}, "k\\u0065y": {json.dumps(k1)}, "result": {json.dumps(good)}}}',
         # "key" inside the result names nothing
@@ -573,12 +592,15 @@ class TestCacheIndex:
                     got, want = _cache_lookup(cache_dir, key), scanned_lookup(cache_dir, key)
                     assert (got and got.to_dict()) == (want and want.to_dict()), (op, key)
 
-    def test_repeated_key_lines_name_the_last_key(self, tmp_path):
+    def test_lines_in_another_spelling_name_no_key(self, tmp_path):
+        # json reads each of these lines as a record of the key listed, but
+        # _cache_store never spells a record so: every lookup misses
         lines = malformed_lines()
-        (tmp_path / "f_exact.jsonl").write_text(lines[8] + "\n" + lines[9] + "\n")
-        k0, k1 = INDEX_KEYS[0], INDEX_KEYS[1]
-        assert _cache_lookup(tmp_path, k0) is None
-        assert _cache_lookup(tmp_path, k1) == INDEX_RESULTS[2]
+        others = [lines[8], lines[9], lines[11]]
+        assert [json.loads(line)["key"] for line in others] == [INDEX_KEYS[1], INDEX_KEYS[1], INDEX_KEYS[4]]
+        (tmp_path / "f_exact.jsonl").write_text("\n".join(others) + "\n", encoding="utf-8")
+        for key in INDEX_KEYS:
+            assert _cache_lookup(tmp_path, key) is None
 
     def test_unfinished_last_line_is_read_but_completed_later(self, tmp_path):
         path = tmp_path / "f_exact.jsonl"
