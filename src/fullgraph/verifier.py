@@ -87,18 +87,22 @@ def extend_partial_map(host: Graph, pattern: Graph, pins: dict[int, int]) -> dic
         cands[i] = c
 
 
-def find_induced_copy_containing(host: Graph, pattern: Graph, v: int) -> dict[int, int] | None:
+def find_induced_copy_containing(
+    host: Graph, pattern: Graph, v: int, prefer: int = 0,
+) -> dict[int, int] | None:
     """Induced copy of the pattern through host vertex v, or None.
 
     Tries each pattern vertex as the role of v, then extends depth-first.
-    The returned role map is deterministic for fixed inputs.
+    The returned role map is deterministic for fixed inputs.  An edgeless
+    copy takes host vertices in the bitmask ``prefer`` first where its
+    choice is free; other patterns ignore it.
     """
     if not 0 <= v < host.order:
         raise ValueError(f"vertex {v} outside 0..{host.order - 1}")
     if pattern.order >= 1 and is_empty_graph(pattern):
         # edgeless patterns reduce to an independent-set search, which the
         # dedicated branch-and-bound settles orders of magnitude faster
-        members = independent_set_with(host, v, pattern.order)
+        members = independent_set_with(host, v, pattern.order, prefer)
         return None if members is None else dict(enumerate(members))
     for anchor in range(pattern.order):
         found = extend_partial_map(host, pattern, {anchor: v})
@@ -162,18 +166,13 @@ def is_full(host: Graph, patterns: list[Graph]) -> FullnessReport:
         raise ValueError("patterns must have at least one vertex")
     coverages = []
     for pattern in patterns:
-        edgeless = is_empty_graph(pattern)
         witnesses: dict[int, dict[int, int]] = {}
         uncovered = []
         left = (1 << host.order) - 1  # host vertices no copy covers yet
         for v in range(host.order):
             if v in witnesses:
                 continue
-            if edgeless:
-                members = independent_set_with(host, v, pattern.order, left)
-                role_map = None if members is None else dict(enumerate(members))
-            else:
-                role_map = find_induced_copy_containing(host, pattern, v)
+            role_map = find_induced_copy_containing(host, pattern, v, left)
             if role_map is None:
                 uncovered.append(v)
             else:

@@ -42,3 +42,4 @@ def test_edgeless_copies_go_through_the_wrapped_search():
     summary = traced_summary("from fullgraph import graphs, verifier\n"
                              "verifier.is_full(graphs.cycle(8), [graphs.empty(3)])")
     assert summary["calls"]["graphs.independent_set_with"] > 0
+    assert summary["calls"]["verifier.find_copy"] == summary["calls"]["graphs.independent_set_with"]

@@ -18,6 +18,7 @@ from fullgraph.graphs import (
     complete_bipartite,
     cycle,
     empty,
+    independent_set_with,
     path,
     relabeled,
     star,
@@ -137,6 +138,23 @@ class TestAnchoredSearch:
                         assert (fast is None) == (slow is None)
                         if fast is not None:
                             assert recheck_witness(host, pat, fast)
+
+    def test_preferred_vertices_reach_the_edgeless_search(self):
+        # is_full passes its uncovered vertices; only edgeless patterns use them
+        rng = random.Random(4242)
+        for _ in range(40):
+            host = random_graph(rng, 1, 9)
+            prefer = rng.getrandbits(host.order)
+            for pat in PATTERNS:
+                if pat.order > host.order:
+                    continue
+                for v in range(host.order):
+                    got = find_induced_copy_containing(host, pat, v, prefer)
+                    if pat.edge_count():
+                        assert got == find_induced_copy_containing(host, pat, v)
+                    else:
+                        members = independent_set_with(host, v, pat.order, prefer)
+                        assert got == (None if members is None else dict(enumerate(members)))
 
     def test_vertex_out_of_range(self):
         with pytest.raises(ValueError):
