@@ -336,7 +336,6 @@ class TestSearch:
         assert p.returncode == 0
         assert json.loads(p.stdout)["f"] == 4
 
-
     def test_pattern_above_the_cap_names_the_start(self, tmp_path):
         # no hint was given: the scan would start at the largest pattern order
         p = run("search", "--patterns", "K10", "--cache-dir", str(tmp_path))
