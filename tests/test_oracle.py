@@ -39,9 +39,11 @@ from fullgraph.oracle import (
     _cache_lookup,
     _cache_store,
     _canonical_search,
+    _children,
     _degree_window,
     _orbit,
     _refine,
+    _representatives,
     canonical_form,
     enumerate_graphs,
     f_exact,
@@ -236,17 +238,17 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             next(enumerate_graphs(0))
 
-
-@pytest.mark.slow
-class TestEnumerationLarge:
     def test_order_eight_count(self):
         assert sum(1 for _ in enumerate_graphs(8)) == 12346
 
-    def test_order_nine_count(self):
-        assert sum(1 for _ in enumerate_graphs(9)) == 274668
-
     def test_order_eight_sequence_is_pinned(self):
         assert enumeration_digest(8) == "19a4a06bbc42"
+
+
+@pytest.mark.slow
+class TestEnumerationLarge:
+    def test_order_nine_count(self):
+        assert sum(1 for _ in enumerate_graphs(9)) == 274668
 
     def test_order_nine_sequence_is_pinned(self):
         assert enumeration_digest(9) == "5ea5bfed2144"
@@ -285,6 +287,67 @@ class TestSearchCuts:
                 gens, rooted_gens = [], []
                 assert _canonical_search(g, gens) == _canonical_search(g, rooted_gens, self.root(g))
                 assert gens == rooted_gens
+
+    @staticmethod
+    def shortcut_graphs():
+        """Every representative of orders 1-7, then 300 seeded random graphs of orders 8-12."""
+        for n in range(1, 8):
+            yield from enumerate_graphs(n)
+        rng = random.Random(1508)
+        for _ in range(300):
+            n, p = rng.randint(8, 12), rng.random()
+            yield Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+
+    def test_vertex_alone_in_last_root_cell_is_canonically_last(self):
+        alone = 0
+        for g in self.shortcut_graphs():
+            last = self.root(g)[-1]
+            if len(last) == 1:
+                alone += 1
+                assert canonical_labeling(g)[-1] == last[0]
+        assert alone > 300
+
+    def test_unique_greatest_degree_is_alone_in_last_root_cell(self):
+        unique = 0
+        for g in self.shortcut_graphs():
+            degrees = [r.bit_count() for r in g.rows]
+            top = [v for v, d in enumerate(degrees) if d == max(degrees)]
+            if len(top) == 1:
+                unique += 1
+                assert self.root(g)[-1] == top
+        assert unique > 300
+
+    @staticmethod
+    def reference_children(rows, z):
+        """Rows of the children of a parent, accepted by one canonical search each."""
+        gens = []
+        _canonical_search(Graph(z, rows), gens)
+        images = [[sum(1 << p[v] for v in range(z) if s >> v & 1) for s in range(1 << z)] for p in gens]
+        degrees = [r.bit_count() for r in rows]
+        covered = set()
+        for subset in range(1 << z):
+            if subset in covered:
+                continue
+            covered |= _orbit(subset, images)
+            k = subset.bit_count()
+            if any(d + (subset >> v & 1) > k for v, d in enumerate(degrees)):
+                continue
+            child_rows = tuple(r | (subset >> v & 1) << z for v, r in enumerate(rows)) + (subset,)
+            child_gens = []
+            lab, _ = _canonical_search(Graph(z + 1, child_rows), child_gens)
+            if z in _orbit(lab[-1], child_gens):
+                yield child_rows
+
+    def test_children_match_a_canonical_search_per_candidate(self):
+        def rows_of(data, n):
+            width = (n + 7) // 8
+            return tuple(int.from_bytes(data[i:i + width], "little") for i in range(0, n * width, width))
+
+        for z in range(1, 8):
+            for parent in _representatives(z):
+                rows = rows_of(parent, z)
+                got = [rows_of(child, z + 1) for child in _children(parent, z)]
+                assert got == list(self.reference_children(rows, z)), rows
 
 
 class TestFExact:
@@ -616,9 +679,9 @@ class TestCacheIndex:
         assert _cache_lookup(tmp_path, INDEX_KEYS[0]) == INDEX_RESULTS[0]
         assert _cache_lookup(tmp_path, INDEX_KEYS[1]) is None
 
-    def test_threads_share_the_index(self, tmp_path):
-        # each key's newest line is malformed, so a lookup walks past it to the
-        # record before; a line indexed twice would make that walk circular
+    def test_concurrent_lookups_and_stores_agree(self, tmp_path):
+        # each key's newest line is malformed, so a lookup walks back past it
+        # to the record before, while other threads append to the same file
         keys = [f"threaded {i}" for i in range(60)]
         want = {k: INDEX_RESULTS[i % len(INDEX_RESULTS)] for i, k in enumerate(keys)}
         wrong, stop = [], threading.Event()
