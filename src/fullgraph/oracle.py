@@ -9,15 +9,14 @@ current prefix pointwise.
 
 Enumeration, by canonical augmentation (McKay 1998): each representative of
 order n-1 is extended by one vertex over the least neighbourhood subset of
-each orbit of its automorphism group.  A child survives only when its new
+each orbit of its automorphism group, whose generators the pruning of one
+canonical search of the parent proves.  A child survives only when its new
 vertex lies in the automorphism orbit of the vertex the canonical labeling
 puts last, so exactly one parent class and one subset orbit reconstruct each
-child class.  The labeling's pruning proves the automorphisms for free: their
-generators decide the child's acceptance and, memoized, its subset orbits.
-Two cheaper necessary conditions come first: the new vertex must have the
-largest degree, and it must lie in the last cell of the child's refined unit
-partition, which holds that whole orbit; the canonical search then starts
-from that refinement.
+child class.  That orbit lies in the last cell of the child's refined unit
+partition, among the vertices of largest degree, so the new vertex must too.
+It is accepted unsearched when it alone has the largest degree or makes up
+that cell alone; otherwise the child's canonical search decides.
 
 Search: a vertex playing role q of a pattern H has deg_H(q) neighbours and
 n(H)-1-deg_H(q) non-neighbours in the copy, so a host with a vertex whose
@@ -158,20 +157,19 @@ def canonical_form(g: Graph) -> bytes:
 
 # -- isomorph-free enumeration ------------------------------------------------
 
-# order -> representatives, each packed as its rows (one byte per row up to
-# order 8, two from order 9) then its automorphism generators (a byte per image)
+# order -> representatives, each packed as its rows: one byte per row up to
+# order 8, two from order 9
 _REPS: dict[int, list[bytes]] = {1: [bytes(1)]}
 
 
-def _pack(rows: tuple[int, ...], gens: list[tuple[int, ...]]) -> bytes:
+def _pack(rows: tuple[int, ...]) -> bytes:
     width = (len(rows) + 7) // 8
-    return b"".join(r.to_bytes(width, "little") for r in rows) + bytes(x for p in gens for x in p)
+    return b"".join(r.to_bytes(width, "little") for r in rows)
 
 
-def _unpack(data: bytes, n: int) -> tuple[tuple[int, ...], list[bytes]]:
+def _unpack(data: bytes, n: int) -> tuple[int, ...]:
     width = (n + 7) // 8
-    rows = tuple(int.from_bytes(data[i:i + width], "little") for i in range(0, n * width, width))
-    return rows, [data[i:i + n] for i in range(n * width, len(data), n)]
+    return tuple(int.from_bytes(data[i:i + width], "little") for i in range(0, n * width, width))
 
 
 def _orbit(x: int, maps: list) -> set[int]:
@@ -190,11 +188,15 @@ def _children(parent: bytes, z: int) -> Iterator[bytes]:
     """Accepted one-vertex extensions of a packed parent representative (z = parent order).
 
     Tries the least subset of each Aut(parent) orbit as z's neighbourhood and
-    accepts z when it is in the orbit of the canonically last vertex.  That
-    orbit lies in the last cell of the child's refined unit partition, since
-    refinement and individualisation keep cell order, so z must lie there too.
+    accepts z when it is in the orbit of the canonically last vertex.  Cell
+    order survives refinement and individualisation, so that orbit lies in the
+    last cell of the child's refined unit partition, whose vertices have the
+    largest degree.  When that cell is {z}, every leaf ends with z, so z is
+    accepted unsearched; it is {z} whenever z alone has the largest degree.
     """
-    rows, gens = _unpack(parent, z)
+    rows = _unpack(parent, z)
+    gens: list[tuple[int, ...]] = []
+    _canonical_search(_trusted_graph(z, rows), gens)
     images = []  # per generator, the image of every subset
     for p in gens:
         img = [0] * (1 << z)
@@ -202,26 +204,26 @@ def _children(parent: bytes, z: int) -> Iterator[bytes]:
             low = s & -s
             img[s] = img[s ^ low] | 1 << p[low.bit_length() - 1]
         images.append(img)
-    # the canonically last vertex has the largest degree, so z (of degree
-    # |subset|) needs every parent vertex to end with no more neighbours
+    # z (of degree |subset|) needs every parent vertex to end with no more
+    # neighbours; automorphisms keep degrees, so a failing orbit fails whole
     at_least = [sum(1 << v for v, r in enumerate(rows) if r.bit_count() >= k) for k in range(z + 2)]
     covered: set[int] = set()
     for subset in range(1 << z):
-        if subset in covered:
-            continue
-        if images:
-            covered |= _orbit(subset, images)
         k = subset.bit_count()
-        if at_least[k + 1] or subset & at_least[k]:
+        if at_least[k + 1] or subset & at_least[k] or subset in covered:
             continue
+        covered |= _orbit(subset, images)
         child_rows = tuple(r | ((subset >> v) & 1) << z for v, r in enumerate(rows)) + (subset,)
-        root = _refine(child_rows, [list(range(z + 1))], [list(range(z + 1))])
-        if z not in root[-1]:
-            continue
-        child_gens: list[tuple[int, ...]] = []
-        lab, _ = _canonical_search(_trusted_graph(z + 1, child_rows), child_gens, root)
-        if z in _orbit(lab[-1], child_gens):
-            yield _pack(child_rows, child_gens)
+        if not k or at_least[k] or subset & at_least[k - 1]:  # z may share the largest degree
+            root = _refine(child_rows, [list(range(z + 1))], [list(range(z + 1))])
+            if z not in root[-1]:
+                continue
+            if len(root[-1]) > 1:
+                child_gens: list[tuple[int, ...]] = []
+                lab, _ = _canonical_search(_trusted_graph(z + 1, child_rows), child_gens, root)
+                if z not in _orbit(lab[-1], child_gens):
+                    continue
+        yield _pack(child_rows)
 
 
 def _representatives(order: int) -> list[bytes]:
@@ -245,13 +247,13 @@ def enumerate_graphs(order: int) -> Iterator[Graph]:
         raise ValueError(f"enumeration supports orders 1..{ENUMERATION_ORDER_CAP}")
     if order in _REPS or order < ENUMERATION_ORDER_CAP:
         for data in _representatives(order):
-            yield _trusted_graph(order, _unpack(data, order)[0])
+            yield _trusted_graph(order, _unpack(data, order))
         return
     collected = []
     for parent in _representatives(order - 1):
         for data in _children(parent, order - 1):
             collected.append(data)
-            yield _trusted_graph(order, _unpack(data, order)[0])
+            yield _trusted_graph(order, _unpack(data, order))
     _REPS[order] = collected
 
 
@@ -420,15 +422,12 @@ def f_exact(
             break
         exhausted.append(order)
 
-    if f_value is not None:
-        exhaustive = True
-        note = ""
-    elif hi > ENUMERATION_ORDER_CAP:
+    exhaustive, note = True, ""
+    if f_value is None and hi > ENUMERATION_ORDER_CAP:
         exhaustive = False
         note = (f"orders {max(lo, ENUMERATION_ORDER_CAP + 1)}..{hi} not examined: "
                 f"enumeration is capped at order {ENUMERATION_ORDER_CAP}")
-    else:
-        exhaustive = True
+    elif f_value is None:
         note = f"no qualifying graph up to order {hi}"
 
     result = SearchResult(
