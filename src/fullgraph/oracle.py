@@ -14,9 +14,15 @@ canonical search of the parent proves.  A child survives only when its new
 vertex lies in the automorphism orbit of the vertex the canonical labeling
 puts last, so exactly one parent class and one subset orbit reconstruct each
 child class.  That orbit lies in the last cell of the child's refined unit
-partition, among the vertices of largest degree, so the new vertex must too.
-It is accepted unsearched when it alone has the largest degree or makes up
-that cell alone; otherwise the child's canonical search decides.
+partition, among the vertices of largest degree, so the new vertex must too:
+only neighbourhoods that keep its degree largest are generated, and orbits
+are taken through two half-width subset image tables per generator.  The
+second refinement round, computed on the largest-degree vertices alone,
+settles most children: the new vertex is dropped when another of them has
+greater neighbour counts into the lower degree classes, and kept unsearched
+when it alone has the greatest.  Only a tie is refined in full, and kept
+unsearched when its last cell is the new vertex; otherwise the child's
+canonical search decides.
 
 Search: a vertex playing role q of a pattern H has deg_H(q) neighbours and
 n(H)-1-deg_H(q) non-neighbours in the copy, so a host with a vertex whose
@@ -37,8 +43,11 @@ from __future__ import annotations
 
 import json
 import os
+import struct
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import combinations
 from pathlib import Path
 from typing import Iterator
 
@@ -157,19 +166,18 @@ def canonical_form(g: Graph) -> bytes:
 
 # -- isomorph-free enumeration ------------------------------------------------
 
-# order -> representatives, each packed as its rows: one byte per row up to
-# order 8, two from order 9
+# order -> representatives, each packed as its rows: one little-endian byte
+# per row up to order 8, two from order 9
 _REPS: dict[int, list[bytes]] = {1: [bytes(1)]}
+_ROWS = [struct.Struct(f"<{n}{'BH'[n > 8]}") for n in range(ENUMERATION_ORDER_CAP + 1)]
 
 
 def _pack(rows: tuple[int, ...]) -> bytes:
-    width = (len(rows) + 7) // 8
-    return b"".join(r.to_bytes(width, "little") for r in rows)
+    return _ROWS[len(rows)].pack(*rows)
 
 
 def _unpack(data: bytes, n: int) -> tuple[int, ...]:
-    width = (n + 7) // 8
-    return tuple(int.from_bytes(data[i:i + width], "little") for i in range(0, n * width, width))
+    return _ROWS[n].unpack(data)
 
 
 def _orbit(x: int, maps: list) -> set[int]:
@@ -184,6 +192,15 @@ def _orbit(x: int, maps: list) -> set[int]:
     return seen
 
 
+def _subset_images(p: tuple[int, ...], base: int, width: int) -> list[int]:
+    """Image under p of every subset of the vertices base..base+width-1."""
+    img = [0] * (1 << width)
+    for s in range(1, 1 << width):
+        low = s & -s
+        img[s] = img[s ^ low] | 1 << p[base + low.bit_length() - 1]
+    return img
+
+
 def _children(parent: bytes, z: int) -> Iterator[bytes]:
     """Accepted one-vertex extensions of a packed parent representative (z = parent order).
 
@@ -192,29 +209,47 @@ def _children(parent: bytes, z: int) -> Iterator[bytes]:
     order survives refinement and individualisation, so that orbit lies in the
     last cell of the child's refined unit partition, whose vertices have the
     largest degree.  When that cell is {z}, every leaf ends with z, so z is
-    accepted unsearched; it is {z} whenever z alone has the largest degree.
+    accepted unsearched.
+
+    Only subsets that leave z a largest degree are generated: for each size k
+    from the parent's largest degree to z, the k-subsets of the vertices of
+    degree below k, taken in numeric order, so each orbit (which passes or
+    fails whole) is met at its least member.  Refinement's first round sorts
+    the child's vertices by degree; its second splits the last cell, the
+    vertices T of degree k, by their neighbour counts into each lower degree
+    class, in ascending degree order.  Later rounds split cells in place, so z
+    is rejected unrefined when another vertex of T has a greater key, and
+    accepted when z is T or has the greatest key alone.  Only a tie, or a
+    regular child, is refined in full.
     """
     rows = _unpack(parent, z)
     gens: list[tuple[int, ...]] = []
     _canonical_search(_trusted_graph(z, rows), gens)
-    images = []  # per generator, the image of every subset
-    for p in gens:
-        img = [0] * (1 << z)
-        for s in range(1, 1 << z):
-            low = s & -s
-            img[s] = img[s ^ low] | 1 << p[low.bit_length() - 1]
-        images.append(img)
-    # z (of degree |subset|) needs every parent vertex to end with no more
-    # neighbours; automorphisms keep degrees, so a failing orbit fails whole
-    at_least = [sum(1 << v for v, r in enumerate(rows) if r.bit_count() >= k) for k in range(z + 2)]
+    h = z // 2
+    half = (1 << h) - 1
+    tables = [(_subset_images(p, 0, h), _subset_images(p, h, z - h)) for p in gens]
+    degrees = [r.bit_count() for r in rows]
+    of_degree = [0] * (z + 2)  # of_degree[d + 1]: the parent vertices of degree d
+    for v, d in enumerate(degrees):
+        of_degree[d + 1] |= 1 << v
+    candidates = sorted(sum(c) for k in range(max(degrees), z + 1)
+                        for c in combinations([1 << v for v, d in enumerate(degrees) if d < k], k))
+    images = [{s: lo[s & half] | hi[s >> h] for s in candidates} for lo, hi in tables]
     covered: set[int] = set()
-    for subset in range(1 << z):
-        k = subset.bit_count()
-        if at_least[k + 1] or subset & at_least[k] or subset in covered:
+    for subset in candidates:
+        if subset in covered:
             continue
         covered |= _orbit(subset, images)
+        k = subset.bit_count()
+        # the child's degree classes: of_degree[j + 1] outside the subset, of_degree[j] inside
+        if tied := of_degree[k + 1] & ~subset | of_degree[k] & subset:
+            masks = [m for j in range(k) if (m := of_degree[j + 1] & ~subset | of_degree[j] & subset)]
+            mine = [(subset & m).bit_count() for m in masks]
+            rival = max([(rows[v] & m).bit_count() for m in masks] for v in range(z) if tied >> v & 1)
+            if rival > mine:
+                continue
         child_rows = tuple(r | ((subset >> v) & 1) << z for v, r in enumerate(rows)) + (subset,)
-        if not k or at_least[k] or subset & at_least[k - 1]:  # z may share the largest degree
+        if tied and rival == mine:  # a tie, or no lower degree class
             root = _refine(child_rows, [list(range(z + 1))], [list(range(z + 1))])
             if z not in root[-1]:
                 continue
@@ -358,6 +393,12 @@ def _degree_window(pattern: Graph, n: int) -> int:
     return mask
 
 
+@lru_cache(maxsize=1024)
+def _pattern_form(order: int, rows: tuple[int, ...]) -> str:
+    """Canonical graph6 of a pattern; calls repeat the same few small patterns."""
+    return canonical_form(_trusted_graph(order, rows)).decode("ascii")
+
+
 def f_exact(
     patterns: list[Graph],
     lower_hint: int | None = None,
@@ -390,7 +431,7 @@ def f_exact(
     if lo > hi:
         raise ValueError(f"search would start at {lo}, {origin}, but stop at {hi}")
 
-    canon = tuple(sorted(canonical_form(p).decode("ascii") for p in patterns))
+    canon = tuple(sorted(_pattern_form(p.order, p.rows) for p in patterns))
     # version 2: records from before the note on unexamined orders was corrected are never hit
     key = json.dumps({"patterns": list(canon), "lo": lo, "hi": hi, "version": 2}, sort_keys=True)
     cdir = resolve_cache_dir(cache_dir)

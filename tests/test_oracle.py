@@ -33,6 +33,7 @@ from fullgraph.graphs import (
     star,
     to_graph6,
 )
+from fullgraph import oracle
 from fullgraph.oracle import (
     ENUMERATION_ORDER_CAP,
     SearchResult,
@@ -42,6 +43,7 @@ from fullgraph.oracle import (
     _children,
     _degree_window,
     _orbit,
+    _pattern_form,
     _refine,
     _representatives,
     canonical_form,
@@ -59,6 +61,12 @@ def canonical_labeling(g):
 
 def enumeration_digest(n):
     return hashlib.sha1("\n".join(to_graph6(g) for g in enumerate_graphs(n)).encode()).hexdigest()[:12]
+
+
+def unpack_rows(data, n):
+    """Rows of a packed representative: (n + 7) // 8 little-endian bytes a row."""
+    width = (n + 7) // 8
+    return tuple(int.from_bytes(data[i:i + width], "little") for i in range(0, n * width, width))
 
 
 def labeled_space(n):
@@ -349,6 +357,61 @@ class TestSearchCuts:
                 got = [rows_of(child, z + 1) for child in _children(parent, z)]
                 assert got == list(self.reference_children(rows, z)), rows
 
+    @staticmethod
+    def candidate_children(rows, z):
+        """Rows of the child of every degree-passing Aut(parent) orbit root, least subset first."""
+        gens = []
+        _canonical_search(Graph(z, rows), gens)
+        images = [[sum(1 << p[v] for v in range(z) if s >> v & 1) for s in range(1 << z)] for p in gens]
+        degrees = [r.bit_count() for r in rows]
+        covered = set()
+        for subset in range(1 << z):
+            k = subset.bit_count()
+            if subset in covered or any(d + (subset >> v & 1) > k for v, d in enumerate(degrees)):
+                continue
+            covered |= _orbit(subset, images)
+            yield tuple(r | (subset >> v & 1) << z for v, r in enumerate(rows)) + (subset,)
+
+    def test_unrefined_decisions_agree_with_the_refined_root(self, monkeypatch):
+        # a child that _children decides without refining its root must have z
+        # alone in the root's last cell when kept, and outside it when dropped
+        parents = [(z, parent) for z in range(1, 8) for parent in _representatives(z)]
+        refine, refined = _refine, set()
+
+        def recording_refine(rows, partition, splitters):
+            if len(partition) == 1:
+                refined.add(rows)
+            return refine(rows, partition, splitters)
+
+        monkeypatch.setattr(oracle, "_refine", recording_refine)
+        dropped = kept_by_key = 0
+        for z, parent in parents:
+            refined.clear()
+            kept = {unpack_rows(child, z + 1) for child in _children(parent, z)}
+            for child_rows in self.candidate_children(unpack_rows(parent, z), z):
+                if child_rows in refined:
+                    continue
+                last = refine(child_rows, [list(range(z + 1))], [list(range(z + 1))])[-1]
+                if child_rows in kept:
+                    assert last == [z], child_rows
+                    degrees = [r.bit_count() for r in child_rows]
+                    kept_by_key += degrees.count(degrees[z]) > 1
+                else:
+                    assert z not in last, child_rows
+                    dropped += 1
+        assert dropped > 5000 and kept_by_key > 3000
+
+
+@pytest.mark.slow
+class TestSearchCutsLarge:
+    def test_children_match_a_canonical_search_per_candidate_at_order_nine(self):
+        # two bytes a child row and half-width subset tables of 4 + 4 bits
+        parents = random.Random(1608).sample(_representatives(8), 200)
+        for parent in parents:
+            rows = unpack_rows(parent, 8)
+            got = [unpack_rows(child, 9) for child in _children(parent, 8)]
+            assert got == list(TestSearchCuts.reference_children(rows, 8)), rows
+
 
 class TestFExact:
     def test_edge_nonedge_instance(self, tmp_path):
@@ -504,6 +567,16 @@ class TestCache:
         assert resolve_cache_dir(None) == env
         monkeypatch.delenv("FULLGRAPH_CACHE")
         assert "fullgraph" in str(resolve_cache_dir(None))
+
+    def test_relabeled_patterns_get_the_same_key_and_record(self, tmp_path):
+        first = f_exact([path(4), star(4)], cache_dir=tmp_path)
+        hits = _pattern_form.cache_info().hits
+        second = f_exact([relabeled(star(4), [3, 1, 0, 2]), relabeled(path(4), [2, 0, 3, 1])], cache_dir=tmp_path)
+        lines = (tmp_path / "f_exact.jsonl").read_text().splitlines()
+        assert len(lines) == 1
+        assert second.to_dict() == first.to_dict()  # the stored record, wall_time included
+        assert f_exact([star(4), path(4)], cache_dir=tmp_path) == first
+        assert _pattern_form.cache_info().hits >= hits + 2
 
     def test_search_result_round_trips(self, tmp_path):
         r = f_exact([complete(2), empty(2)], cache_dir=tmp_path)

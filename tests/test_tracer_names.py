@@ -43,3 +43,11 @@ def test_edgeless_copies_go_through_the_wrapped_search():
                              "verifier.is_full(graphs.cycle(8), [graphs.empty(3)])")
     assert summary["calls"]["graphs.independent_set_with"] > 0
     assert summary["calls"]["verifier.find_copy"] == summary["calls"]["graphs.independent_set_with"]
+
+
+def test_enumeration_reaches_every_wrapped_oracle_name():
+    # a name can stay bound and still go uncalled, which reads 0 in every traced run
+    summary = traced_summary("from fullgraph import oracle\n"
+                             "for _ in oracle.enumerate_graphs(8): pass")
+    for name in ("oracle.refine", "oracle.canonical_search", "oracle.automorphism_test", "oracle.children"):
+        assert summary["calls"][name] > 0, name
