@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fullgraph import oracle
 from fullgraph.graphs import (
     Graph,
     complete,
@@ -33,7 +34,6 @@ from fullgraph.graphs import (
     star,
     to_graph6,
 )
-from fullgraph import oracle
 from fullgraph.oracle import (
     ENUMERATION_ORDER_CAP,
     SearchResult,
