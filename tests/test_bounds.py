@@ -4,6 +4,8 @@ Square roots are exercised against integer predicates directly, so nothing
 here depends on floating point.
 """
 
+import hashlib
+import json
 import math
 
 import pytest
@@ -42,6 +44,7 @@ from fullgraph.graphs import (
     path,
     star,
 )
+from fullgraph.oracle import enumerate_graphs
 from fullgraph.verifier import is_full
 
 
@@ -381,6 +384,15 @@ class TestSummarize:
     def test_requires_patterns(self):
         with pytest.raises(ValueError):
             summarize([])
+
+    def test_corpus_is_pinned(self):
+        # 414 instances: every graph of order 1-4 alone, with E1, E2, E3 and E6,
+        # and every ordered pair of them
+        small = [g for k in range(1, 5) for g in enumerate_graphs(k)]
+        out = [summarize([g], n=n).to_dict() for g in small for n in (None, 1, 2, 3, 6)]
+        out += [summarize([g, h]).to_dict() for g in small for h in small]
+        assert len(out) == 414
+        assert hashlib.sha1(json.dumps(out, sort_keys=True).encode()).hexdigest()[:12] == "ede09e85130a"
 
     def test_rejects_n_below_one(self):
         with pytest.raises(ValueError, match="n must be at least 1"):
