@@ -166,18 +166,11 @@ def canonical_form(g: Graph) -> bytes:
 
 # -- isomorph-free enumeration ------------------------------------------------
 
-# order -> representatives, each packed as its rows: one little-endian byte
-# per row up to order 8, two from order 9
-_REPS: dict[int, list[bytes]] = {1: [bytes(1)]}
+# (order, i) -> the children of the i-th representative of order - 1, packed as
+# rows of one little-endian byte up to order 8, two from order 9; a stored level
+# is their concatenation in parent order
+_KIDS: dict[tuple[int, int], bytes] = {}
 _ROWS = [struct.Struct(f"<{n}{'BH'[n > 8]}") for n in range(ENUMERATION_ORDER_CAP + 1)]
-
-
-def _pack(rows: tuple[int, ...]) -> bytes:
-    return _ROWS[len(rows)].pack(*rows)
-
-
-def _unpack(data: bytes, n: int) -> tuple[int, ...]:
-    return _ROWS[n].unpack(data)
 
 
 def _orbit(x: int, maps: list) -> set[int]:
@@ -201,8 +194,8 @@ def _subset_images(p: tuple[int, ...], base: int, width: int) -> list[int]:
     return img
 
 
-def _children(parent: bytes, z: int) -> Iterator[bytes]:
-    """Accepted one-vertex extensions of a packed parent representative (z = parent order).
+def _children(rows: tuple[int, ...], z: int) -> Iterator[bytes]:
+    """Packed accepted one-vertex extensions of a parent representative's rows (z = its order).
 
     Tries the least subset of each Aut(parent) orbit as z's neighbourhood and
     accepts z when it is in the orbit of the canonically last vertex.  Cell
@@ -222,7 +215,6 @@ def _children(parent: bytes, z: int) -> Iterator[bytes]:
     accepted when z is T or has the greatest key alone.  Only a tie, or a
     regular child, is refined in full.
     """
-    rows = _unpack(parent, z)
     gens: list[tuple[int, ...]] = []
     _canonical_search(_trusted_graph(z, rows), gens)
     h = z // 2
@@ -258,38 +250,32 @@ def _children(parent: bytes, z: int) -> Iterator[bytes]:
                 lab, _ = _canonical_search(_trusted_graph(z + 1, child_rows), child_gens, root)
                 if z not in _orbit(lab[-1], child_gens):
                     continue
-        yield _pack(child_rows)
+        yield _ROWS[z + 1].pack(*child_rows)
 
 
-def _representatives(order: int) -> list[bytes]:
-    if order not in _REPS:
-        _REPS[order] = [
-            child
-            for parent in _representatives(order - 1)
-            for child in _children(parent, order - 1)
-        ]
-    return _REPS[order]
+def _level(order: int) -> Iterator[tuple[int, ...]]:
+    """Rows of every representative of ``order``, extending each parent once, on first read."""
+    if order == 1:
+        yield (0,)
+        return
+    for i, parent in enumerate(_level(order - 1)):
+        # two threads racing on one parent store equal bytes, so no lock is needed
+        if (kids := _KIDS.get((order, i))) is None:
+            kids = _KIDS[order, i] = b"".join(_children(parent, order - 1))
+        yield from _ROWS[order].iter_unpack(kids)
 
 
 def enumerate_graphs(order: int) -> Iterator[Graph]:
     """One representative per isomorphism class, in a fixed deterministic order.
 
-    The largest supported order streams parent by parent, so consumers that
-    stop early (the minimum search, typically) never pay for the full level;
-    a fully consumed stream is memoized like the smaller orders.
+    Every order streams parent by parent: a consumer that stops early (the
+    minimum search, typically) builds only the part of the level it read, and
+    no part is built twice in a process.
     """
     if not 1 <= order <= ENUMERATION_ORDER_CAP:
         raise ValueError(f"enumeration supports orders 1..{ENUMERATION_ORDER_CAP}")
-    if order in _REPS or order < ENUMERATION_ORDER_CAP:
-        for data in _representatives(order):
-            yield _trusted_graph(order, _unpack(data, order))
-        return
-    collected = []
-    for parent in _representatives(order - 1):
-        for data in _children(parent, order - 1):
-            collected.append(data)
-            yield _trusted_graph(order, _unpack(data, order))
-    _REPS[order] = collected
+    for rows in _level(order):
+        yield _trusted_graph(order, rows)
 
 
 # -- exact minimum search -----------------------------------------------------

@@ -11,6 +11,7 @@ import itertools
 import json
 import os
 import random
+import subprocess
 import sys
 import tempfile
 import threading
@@ -42,10 +43,10 @@ from fullgraph.oracle import (
     _canonical_search,
     _children,
     _degree_window,
+    _level,
     _orbit,
     _pattern_form,
     _refine,
-    _representatives,
     canonical_form,
     enumerate_graphs,
     f_exact,
@@ -253,6 +254,49 @@ class TestEnumeration:
         assert enumeration_digest(8) == "19a4a06bbc42"
 
 
+class TestLevelStore:
+    """Each parent is extended once, when a reader first reaches it.
+
+    Every test runs in a child interpreter, so the store starts empty; the
+    child records the parent order of every ``_children`` call.
+    """
+
+    PRELUDE = """
+import hashlib, itertools, json, sys
+sys.path.insert(0, {src!r})
+from fullgraph import oracle
+from fullgraph.graphs import to_graph6
+extended = []
+children = oracle._children
+oracle._children = lambda rows, z: extended.append(z) or children(rows, z)
+"""
+
+    def run(self, code):
+        src = str(Path(oracle.__file__).resolve().parent.parent)
+        p = subprocess.run([sys.executable, "-c", self.PRELUDE.format(src=src) + code],
+                           capture_output=True, text=True, timeout=120)
+        assert p.returncode == 0, p.stderr
+        return json.loads(p.stdout)
+
+    def test_an_early_stop_leaves_later_parents_unextended(self):
+        extended = self.run("list(itertools.islice(oracle.enumerate_graphs(8), 512))\n"
+                            "print(json.dumps(extended))")
+        assert extended.count(7) < 1044
+
+    def test_a_second_read_extends_no_parent(self):
+        again = self.run("for _ in oracle.enumerate_graphs(8): pass\n"
+                         "before = len(extended)\n"
+                         "for _ in oracle.enumerate_graphs(8): pass\n"
+                         "print(json.dumps(extended[before:]))")
+        assert again == []
+
+    def test_a_read_after_an_early_stop_is_whole(self):
+        digest = self.run("list(itertools.islice(oracle.enumerate_graphs(8), 3000))\n"
+                          "text = '\\n'.join(to_graph6(g) for g in oracle.enumerate_graphs(8))\n"
+                          "print(json.dumps(hashlib.sha1(text.encode()).hexdigest()[:12]))")
+        assert digest == "19a4a06bbc42"
+
+
 @pytest.mark.slow
 class TestEnumerationLarge:
     def test_order_nine_count(self):
@@ -352,9 +396,8 @@ class TestSearchCuts:
             return tuple(int.from_bytes(data[i:i + width], "little") for i in range(0, n * width, width))
 
         for z in range(1, 8):
-            for parent in _representatives(z):
-                rows = rows_of(parent, z)
-                got = [rows_of(child, z + 1) for child in _children(parent, z)]
+            for rows in _level(z):
+                got = [rows_of(child, z + 1) for child in _children(rows, z)]
                 assert got == list(self.reference_children(rows, z)), rows
 
     @staticmethod
@@ -375,7 +418,7 @@ class TestSearchCuts:
     def test_unrefined_decisions_agree_with_the_refined_root(self, monkeypatch):
         # a child that _children decides without refining its root must have z
         # alone in the root's last cell when kept, and outside it when dropped
-        parents = [(z, parent) for z in range(1, 8) for parent in _representatives(z)]
+        parents = [(z, parent) for z in range(1, 8) for parent in _level(z)]
         refine, refined = _refine, set()
 
         def recording_refine(rows, partition, splitters):
@@ -388,7 +431,7 @@ class TestSearchCuts:
         for z, parent in parents:
             refined.clear()
             kept = {unpack_rows(child, z + 1) for child in _children(parent, z)}
-            for child_rows in self.candidate_children(unpack_rows(parent, z), z):
+            for child_rows in self.candidate_children(parent, z):
                 if child_rows in refined:
                     continue
                 last = refine(child_rows, [list(range(z + 1))], [list(range(z + 1))])[-1]
@@ -406,10 +449,9 @@ class TestSearchCuts:
 class TestSearchCutsLarge:
     def test_children_match_a_canonical_search_per_candidate_at_order_nine(self):
         # two bytes a child row and half-width subset tables of 4 + 4 bits
-        parents = random.Random(1608).sample(_representatives(8), 200)
-        for parent in parents:
-            rows = unpack_rows(parent, 8)
-            got = [unpack_rows(child, 9) for child in _children(parent, 8)]
+        parents = random.Random(1608).sample(list(_level(8)), 200)
+        for rows in parents:
+            got = [unpack_rows(child, 9) for child in _children(rows, 8)]
             assert got == list(TestSearchCuts.reference_children(rows, 8)), rows
 
 

@@ -51,3 +51,5 @@ def test_enumeration_reaches_every_wrapped_oracle_name():
                              "for _ in oracle.enumerate_graphs(8): pass")
     for name in ("oracle.refine", "oracle.canonical_search", "oracle.automorphism_test", "oracle.children"):
         assert summary["calls"][name] > 0, name
+    # the tracer reads z as _children's second positional argument; moved or renamed, it counts nothing
+    assert summary["counters"]["oracle.subsets_tried"] > 0
