@@ -355,7 +355,6 @@ def _cache_lookup(cache_dir: Path, key: str) -> SearchResult | None:
 
 
 def _cache_store(cache_dir: Path, key: str, result: SearchResult) -> None:
-    cache_dir.mkdir(parents=True, exist_ok=True)
     line = json.dumps({"key": key, "result": result.to_dict()}, sort_keys=True) + "\n"
     # one write(2) to an O_APPEND descriptor, so concurrent writers cannot
     # interleave parts of their records
@@ -421,6 +420,8 @@ def f_exact(
     # version 2: records from before the note on unexamined orders was corrected are never hit
     key = json.dumps({"patterns": list(canon), "lo": lo, "hi": hi, "version": 2}, sort_keys=True)
     cdir = resolve_cache_dir(cache_dir)
+    # made before the scan, so a directory that cannot be made costs no search
+    cdir.mkdir(parents=True, exist_ok=True)
     cached = _cache_lookup(cdir, key)
     if cached is not None:
         return cached

@@ -336,6 +336,17 @@ class TestSearch:
         assert p.returncode == 0
         assert json.loads(p.stdout)["f"] == 4
 
+    def test_unmakeable_cache_dir_fails_before_the_scan(self, tmp_path, monkeypatch, capsys):
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+
+        def scan(order):
+            raise AssertionError(f"order {order} was scanned")
+
+        monkeypatch.setattr(oracle, "enumerate_graphs", scan)
+        assert main(["search", "--patterns", "K3,E3", "--cache-dir", str(not_a_dir)]) == 2
+        assert capsys.readouterr() == ("", f"error: [Errno 17] File exists: '{not_a_dir}'\n")
+
     def test_pattern_above_the_cap_names_the_start(self, tmp_path):
         # no hint was given: the scan would start at the largest pattern order
         p = run("search", "--patterns", "K10", "--cache-dir", str(tmp_path))
