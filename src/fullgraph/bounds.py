@@ -17,6 +17,7 @@ from .graphs import (
     Graph,
     alpha_with_vertex,
     complement,
+    empty,
     is_complete_graph,
     is_empty_graph,
     max_degree,
@@ -40,16 +41,6 @@ def ceil_sqrt(n: int) -> int:
         return 0
     z = math.isqrt(n)
     return z if z * z == n else z + 1
-
-
-def ceil_sqrt_ratio(n: int, d: int) -> int:
-    """Least z >= 0 with z*z*d >= n."""
-    if n <= 0:
-        return 0
-    z = math.isqrt(n // d)
-    while z * z * d < n:
-        z += 1
-    return z
 
 
 def egh_formula(m: int, n: int) -> int:
@@ -88,7 +79,8 @@ def default_ring_count(delta: int, m_prime: int, n: int, r: int | None = None) -
     An explicit ``r`` is checked against the same constraints the default meets.
     """
     if r is None:
-        r = max(ceil_sqrt_ratio(n, delta) + 1, 3 * m_prime)
+        # the least z with z*z*delta >= n is ceil_sqrt(ceil(n/delta)), since z*z is an integer
+        r = max(ceil_sqrt(ceil_div(n, delta)) + 1, 3 * m_prime)
     elif r < max(3 * m_prime, 2):
         raise ValueError(f"r={r} below required {max(3 * m_prime, 2)} (= max(3*m', 2))")
     if n < r:
@@ -310,14 +302,14 @@ def summarize(patterns: list[Graph], n: int | None = None) -> BoundSummary:
     ``n`` appends an edgeless pattern of that order, the common shorthand
     for "pattern versus independent set" instances.
     """
-    from .graphs import empty as empty_graph
-
     if n is not None:
         if n < 1:
             raise ValueError("n must be at least 1")
-        patterns = list(patterns) + [empty_graph(n)]
+        patterns = list(patterns) + [empty(n)]
     if not patterns:
         raise ValueError("at least one pattern is required")
+    if any(p.order < 1 for p in patterns):
+        raise ValueError("patterns must have at least one vertex")
     orders = [p.order for p in patterns]
     instance = {"patterns": [to_graph6(p) for p in patterns], "orders": orders}
     entries = [BoundEntry("pattern_order", "lower", max(orders), True,
@@ -328,10 +320,7 @@ def summarize(patterns: list[Graph], n: int | None = None) -> BoundSummary:
         entries.append(BoundEntry("cyclic_upper", "upper", None, False,
                                   reason="every pattern has order 1; the ring needs order >= 2"))
     else:
-        try:
-            entries.append(BoundEntry("cyclic_upper", "upper", cyclic_upper(ring), True))
-        except ValueError as exc:
-            entries.append(BoundEntry("cyclic_upper", "upper", None, False, reason=str(exc)))
+        entries.append(BoundEntry("cyclic_upper", "upper", cyclic_upper(ring), True))
 
     t = len(patterns)
     for q in range(max(2, max(orders), t - 1), 1001):
@@ -358,8 +347,8 @@ def summarize(patterns: list[Graph], n: int | None = None) -> BoundSummary:
                 entries.append(BoundEntry("complete_vs_empty_exact", "exact",
                                           egh_formula(h.order, nn), True,
                                           details={"m": h.order, "n": nn}))
-            delta = min_degree(h) if h.order else 0
-            if h.order and delta >= 1:
+            delta = min_degree(h)
+            if delta >= 1:
                 try:
                     up = h_vs_empty_upper(h, nn)
                     entries.append(BoundEntry(
@@ -372,7 +361,7 @@ def summarize(patterns: list[Graph], n: int | None = None) -> BoundSummary:
                 except ValueError as exc:
                     entries.append(BoundEntry("pattern_vs_empty_upper", "upper", None, False,
                                               reason=str(exc)))
-            elif h.order and delta == 0:
+            else:
                 value, s = _delta_zero(h, nn)
                 if value is not None:
                     entries.append(BoundEntry("isolated_vertex_exact", "exact", value, True,

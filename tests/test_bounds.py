@@ -15,7 +15,6 @@ from fullgraph.bounds import (
     BoundSummary,
     ceil_div,
     ceil_sqrt,
-    ceil_sqrt_ratio,
     cyclic_upper,
     default_ring_count,
     delta_zero_exact,
@@ -64,7 +63,7 @@ class TestIntegerArithmetic:
     def test_ceil_sqrt_ratio_predicate(self):
         for n in range(0, 300):
             for d in range(1, 7):
-                z = ceil_sqrt_ratio(n, d)
+                z = ceil_sqrt(ceil_div(n, d))
                 assert z * z * d >= n
                 assert z == 0 or (z - 1) * (z - 1) * d < n
 
@@ -142,7 +141,7 @@ class TestRingCount:
 
     def test_floor_at_three_m_prime(self):
         # large pattern remainder forces r = 3m'
-        assert default_ring_count(1, 3, 100) == max(ceil_sqrt_ratio(100, 1) + 1, 9)
+        assert default_ring_count(1, 3, 100) == max(ceil_sqrt(ceil_div(100, 1)) + 1, 9)
 
     def test_rejects_tiny_n(self):
         with pytest.raises(ValueError):
@@ -384,6 +383,13 @@ class TestSummarize:
     def test_requires_patterns(self):
         with pytest.raises(ValueError):
             summarize([])
+
+    @pytest.mark.parametrize("patterns", [
+        [empty(0)], [empty(0), complete(2)], [empty(0), complete(2), empty(3)],
+    ])
+    def test_rejects_order_zero_patterns(self, patterns):
+        with pytest.raises(ValueError, match="patterns must have at least one vertex"):
+            summarize(patterns)
 
     def test_corpus_is_pinned(self):
         # 414 instances: every graph of order 1-4 alone, with E1, E2, E3 and E6,
