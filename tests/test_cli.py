@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 
@@ -15,7 +16,7 @@ from fullgraph.cli import main
 from fullgraph.constructions import h_vs_empty
 from fullgraph.graphs import cycle, from_graph6, to_graph6
 from fullgraph.verifier import is_full
-from fullgraph.patterns import parse_pattern_list
+from fullgraph.patterns import parse_pattern, parse_pattern_list
 
 
 def run(*args, stdin=None, env=None):
@@ -165,11 +166,73 @@ class TestConstruct:
         out = json.loads(p.stdout)
         assert out["verified"] is None
 
-    def test_missing_required_params_exit_two(self):
-        p = run("construct", "--theorem", "star", "--m", "3")
-        assert p.returncode == 2
-        p = run("construct", "--theorem", "cyclic")
-        assert p.returncode == 2
+    def test_missing_required_params_exit_two(self, capsys):
+        # each theorem's required flags, with values that build
+        required = {
+            "cyclic": {"--patterns": "K3,E3"},
+            "design": {"--patterns": "K3,E3", "--q": "3"},
+            "h_vs_empty": {"--patterns": "P3", "--n": "9"},
+            "star": {"--m": "3", "--n": "5"},
+            "complete_bipartite": {"--m": "4", "--n": "2"},
+            "delta_zero": {"--patterns": "K2+K1", "--n": "3"},
+        }
+        for theorem, given in required.items():
+            for missing in [*([flag] for flag in given), list(given)]:
+                argv = ["construct", "--theorem", theorem]
+                for flag, value in given.items():
+                    if flag not in missing:
+                        argv += [flag, value]
+                assert main(argv) == 2, argv
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                for flag in missing:
+                    assert re.search(rf"{flag}\b", captured.err), (argv, captured.err)
+            argv = ["construct", "--theorem", theorem, *(a for item in given.items() for a in item)]
+            assert main(argv) == 0, argv
+            capsys.readouterr()
+
+    # the five construct runs of the verify_large benchmark, the two other
+    # theorems, and one --k and one --r override
+    PINNED = [
+        ["--theorem", "h_vs_empty", "--patterns", "C5", "--n", "400"],
+        ["--theorem", "h_vs_empty", "--patterns", "K4", "--n", "160"],
+        ["--theorem", "design", "--patterns", "P9,C9,K9,E9", "--q", "9"],
+        ["--theorem", "star", "--m", "10", "--n", "1000"],
+        ["--theorem", "cyclic", "--patterns", "K6,E6,P6,C6"],
+        ["--theorem", "complete_bipartite", "--m", "5", "--n", "3"],
+        ["--theorem", "delta_zero", "--patterns", "P3+K1", "--n", "5"],
+        ["--theorem", "star", "--m", "4", "--n", "9", "--k", "2"],
+        ["--theorem", "h_vs_empty", "--patterns", "P3", "--n", "9", "--r", "4"],
+    ]
+
+    def test_stdout_is_pinned(self, capsys):
+        runs = []
+        for argv in self.PINNED:
+            rc = main(["construct", *argv])
+            runs.append([argv, rc, capsys.readouterr().out])
+        assert [rc for _, rc, _ in runs] == [0] * len(self.PINNED)
+        assert hashlib.sha1(json.dumps(runs).encode()).hexdigest() == "9a01708ec7b079843531b600a9cbcb8032b0d233"
+
+
+class TestPatternLanguage:
+    # each letter's least accepted order; one less is rejected with the message
+    @pytest.mark.parametrize("letter, least", [("K", 1), ("E", 1), ("S", 2), ("P", 1), ("C", 3)])
+    def test_least_order_of_each_letter(self, letter, least):
+        assert parse_pattern(f"{letter}{least}").order == least
+        with pytest.raises(ValueError) as exc:
+            parse_pattern(f"{letter}{least - 1}")
+        assert str(exc.value) == f"{letter}<n> needs n >= {least}"
+
+    @pytest.mark.parametrize("parse, text, message", [
+        (parse_pattern, "X3", "cannot parse pattern term 'X3': expected K<n>, E<n>, S<n>, P<n>, "
+                              "C<n>, or g6:<graph6>"),
+        (parse_pattern, "K3+", "cannot parse pattern 'K3+'"),
+        (parse_pattern_list, "K3,,E3", "cannot parse pattern list 'K3,,E3'"),
+    ])
+    def test_malformed_text(self, parse, text, message):
+        with pytest.raises(ValueError) as exc:
+            parse(text)
+        assert str(exc.value) == message
 
 
 class TestVerify:

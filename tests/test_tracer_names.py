@@ -53,3 +53,17 @@ def test_enumeration_reaches_every_wrapped_oracle_name():
         assert summary["calls"][name] > 0, name
     # the tracer reads z as _children's second positional argument; moved or renamed, it counts nothing
     assert summary["counters"]["oracle.subsets_tried"] > 0
+
+
+def test_construct_reaches_the_wrapped_builders():
+    # the tracer rebinds module attributes: a builder held elsewhere, as in a
+    # dispatch table, would be called unwrapped and count 0
+    summary = traced_summary("from fullgraph import cli\n"
+                             "for argv in [['cyclic', '--patterns', 'K2,E2'],\n"
+                             "             ['design', '--patterns', 'K2,E2', '--q', '2'],\n"
+                             "             ['h_vs_empty', '--patterns', 'P3', '--n', '9'],\n"
+                             "             ['star', '--m', '3', '--n', '5'],\n"
+                             "             ['complete_bipartite', '--m', '4', '--n', '2'],\n"
+                             "             ['delta_zero', '--patterns', 'K2+K1', '--n', '3']]:\n"
+                             "    assert cli.main(['construct', '--theorem', *argv]) == 0")
+    assert summary["calls"]["constructions.build"] == 6
