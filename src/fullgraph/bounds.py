@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import designs
 from .graphs import (
     Graph,
     alpha_with_vertex,
+    check_patterns,
     complement,
     empty,
     is_complete_graph,
@@ -233,14 +234,7 @@ class BoundEntry:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "value": self.value,
-            "applicable": self.applicable,
-            "reason": self.reason,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -249,12 +243,7 @@ class BoundSummary:
     entries: list[BoundEntry]
 
     def to_dict(self) -> dict:
-        return {
-            "instance": self.instance,
-            "entries": [e.to_dict() for e in self.entries],
-            "best_lower": self.best_lower(),
-            "best_upper": self.best_upper(),
-        }
+        return {**asdict(self), "best_lower": self.best_lower(), "best_upper": self.best_upper()}
 
     def applicable(self, kind: str) -> list[BoundEntry]:
         return [e for e in self.entries if e.applicable and e.kind == kind]
@@ -280,22 +269,6 @@ class BoundSummary:
         return [f"{lo.kind} {lo.name}={lo.value} exceeds {up.kind} {up.name}={up.value}"]
 
 
-def _pair_entries(h1: Graph, h2: Graph, label: str) -> list[BoundEntry]:
-    """Lower bounds from one ordering of a two-pattern instance."""
-    entries = []
-    delta = min_degree(h1)
-    big = max_degree(h2)
-    name = f"min_max_degree_lower{label}"
-    if 2 * big < delta:
-        value = general_lower_bound(delta, big, h2.order)
-        entries.append(BoundEntry(name, "lower", value, True,
-                                  details={"delta": delta, "max_degree": big, "n": h2.order}))
-    else:
-        entries.append(BoundEntry(name, "lower", None, False,
-                                  reason=f"needs 2*max_degree < min_degree; got 2*{big} >= {delta}"))
-    return entries
-
-
 def summarize(patterns: list[Graph], n: int | None = None) -> BoundSummary:
     """Every applicable bound for the instance; inapplicable formulas carry a reason.
 
@@ -306,10 +279,7 @@ def summarize(patterns: list[Graph], n: int | None = None) -> BoundSummary:
         if n < 1:
             raise ValueError("n must be at least 1")
         patterns = list(patterns) + [empty(n)]
-    if not patterns:
-        raise ValueError("at least one pattern is required")
-    if any(p.order < 1 for p in patterns):
-        raise ValueError("patterns must have at least one vertex")
+    check_patterns(patterns)
     orders = [p.order for p in patterns]
     instance = {"patterns": [to_graph6(p) for p in patterns], "orders": orders}
     entries = [BoundEntry("pattern_order", "lower", max(orders), True,
@@ -323,21 +293,26 @@ def summarize(patterns: list[Graph], n: int | None = None) -> BoundSummary:
         entries.append(BoundEntry("cyclic_upper", "upper", cyclic_upper(ring), True))
 
     t = len(patterns)
-    for q in range(max(2, max(orders), t - 1), 1001):
-        try:
-            value = design_upper(q + 1)
-        except designs.UnsupportedOrderError:
-            continue
-        entries.append(BoundEntry("design_upper", "upper", value, True, details={"plane_order": q}))
-        break
+    plane_orders = range(max(2, max(orders), t - 1), 1001)
+    q = next((q for q in plane_orders if designs.is_supported_field_order(q)), None)
+    if q is not None:
+        entries.append(BoundEntry("design_upper", "upper", design_upper(q + 1), True,
+                                  details={"plane_order": q}))
 
     if t == 2:
         h1, h2 = patterns
-        entries.extend(_pair_entries(h1, h2, ""))
-        entries.extend(_pair_entries(h2, h1, "_swapped"))
         c1, c2 = complement(h1), complement(h2)
-        entries.extend(_pair_entries(c1, c2, "_complement"))
-        entries.extend(_pair_entries(c2, c1, "_complement_swapped"))
+        for label, a, b in (("", h1, h2), ("_swapped", h2, h1),
+                            ("_complement", c1, c2), ("_complement_swapped", c2, c1)):
+            name = f"min_max_degree_lower{label}"
+            delta = min_degree(a)
+            big = max_degree(b)
+            if 2 * big < delta:
+                entries.append(BoundEntry(name, "lower", general_lower_bound(delta, big, b.order), True,
+                                          details={"delta": delta, "max_degree": big, "n": b.order}))
+            else:
+                entries.append(BoundEntry(name, "lower", None, False,
+                                          reason=f"needs 2*max_degree < min_degree; got 2*{big} >= {delta}"))
 
         for a, b in ((h1, h2), (h2, h1)):
             if not is_empty_graph(b):

@@ -19,7 +19,15 @@ from .bounds import InternalInvariantError
 from .graphs import Graph6Error, empty, from_graph6, star, to_graph6
 from .patterns import parse_pattern_list
 
-_THEOREMS = ("cyclic", "design", "h_vs_empty", "star", "complete_bipartite", "delta_zero")
+# theorem: required flags; with --patterns and --n it builds one pattern against E_n
+_THEOREMS = {
+    "cyclic": ("patterns",),
+    "design": ("patterns", "q"),
+    "h_vs_empty": ("patterns", "n"),
+    "star": ("m", "n"),
+    "complete_bipartite": ("m", "n"),
+    "delta_zero": ("patterns", "n"),
+}
 
 
 def _chunks(o, nl: str, encoded: dict):
@@ -87,42 +95,29 @@ def _read_host(path: str):
 
 def _cmd_construct(args) -> int:
     tag = args.theorem
-    if tag == "cyclic":
-        if not args.patterns:
-            raise ValueError("--theorem cyclic requires --patterns")
+    flags = _THEOREMS[tag]
+    if any(getattr(args, flag) in (None, "") for flag in flags):
+        raise ValueError(f"--theorem {tag} requires " + " and ".join(f"--{flag}" for flag in flags))
+    if "patterns" in flags:
         pats = parse_pattern_list(args.patterns)
+        if "n" in flags and len(pats) != 1:
+            raise ValueError(f"--theorem {tag} takes exactly one pattern")
+    if tag == "cyclic":
         g, recipe = constructions.cyclic_full(pats)
     elif tag == "design":
-        if not args.patterns or args.q is None:
-            raise ValueError("--theorem design requires --patterns and --q")
-        pats = parse_pattern_list(args.patterns)
         g, recipe = constructions.design_full(pats, designs.affine_plane(args.q))
     elif tag == "h_vs_empty":
-        if not args.patterns or args.n is None:
-            raise ValueError("--theorem h_vs_empty requires --patterns (one pattern) and --n")
-        pats = parse_pattern_list(args.patterns)
-        if len(pats) != 1:
-            raise ValueError("--theorem h_vs_empty takes exactly one pattern")
         g, recipe = constructions.h_vs_empty(pats[0], args.n, args.r)
-        pats = [pats[0], empty(args.n)]
-    elif tag == "star":
-        if args.m is None or args.n is None:
-            raise ValueError("--theorem star requires --m and --n")
-        g, recipe = constructions.star_full(args.m, args.n, args.k)
-        pats = [star(args.m), empty(args.n)]
-    elif tag == "complete_bipartite":
-        if args.m is None or args.n is None:
-            raise ValueError("--theorem complete_bipartite requires --m and --n")
-        g, recipe = constructions.complete_bipartite_full(args.m, args.n)
-        pats = [star(args.m), empty(args.n)]
-    else:
-        if not args.patterns or args.n is None:
-            raise ValueError("--theorem delta_zero requires --patterns (one pattern) and --n")
-        pats = parse_pattern_list(args.patterns)
-        if len(pats) != 1:
-            raise ValueError("--theorem delta_zero takes exactly one pattern")
+    elif tag == "delta_zero":
         g, recipe = constructions.delta_zero_construction(pats[0], args.n)
-        pats = [pats[0], empty(args.n)]
+    elif tag == "star":
+        g, recipe = constructions.star_full(args.m, args.n, args.k)
+    else:
+        g, recipe = constructions.complete_bipartite_full(args.m, args.n)
+    if "patterns" not in flags:
+        pats = [star(args.m)]
+    if "n" in flags:
+        pats.append(empty(args.n))
 
     verified = None
     if args.verify:

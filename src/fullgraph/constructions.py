@@ -13,14 +13,14 @@ graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import Sequence
 
 from . import bounds
 from .bounds import InternalInvariantError
 from .designs import ResolvableDesign, validate_design
-from .graphs import Graph, complete_bipartite, duplicate_vertex, min_degree, to_graph6
+from .graphs import Graph, check_patterns, complete_bipartite, duplicate_vertex, min_degree, to_graph6
 
 
 @dataclass(frozen=True)
@@ -30,11 +30,7 @@ class ConstructionRecipe:
     claimed_order: int
 
     def to_dict(self) -> dict:
-        return {
-            "theorem_tag": self.theorem_tag,
-            "parameters": self.parameters,
-            "claimed_order": self.claimed_order,
-        }
+        return asdict(self)
 
 
 class _EdgeLedger:
@@ -131,8 +127,7 @@ def design_full(patterns: list[Graph], design: ResolvableDesign) -> tuple[Graph,
     points ascending against pattern vertices ascending).  The design is
     validated first, so every point pair lies in exactly one block.
     """
-    if not patterns:
-        raise ValueError("at least one pattern is required")
+    check_patterns(patterns)
     problems = validate_design(design)
     if problems:
         raise ValueError("invalid design: " + "; ".join(problems[:3]))
@@ -141,8 +136,6 @@ def design_full(patterns: list[Graph], design: ResolvableDesign) -> tuple[Graph,
         raise ValueError(f"{t} patterns but the design has only {len(design.classes)} classes")
     padded = []
     for i, p in enumerate(patterns):
-        if p.order < 1:
-            raise ValueError(f"pattern {i} is empty")
         if p.order > design.block_size:
             raise ValueError(f"pattern {i} has order {p.order} > block size {design.block_size}")
         q = p

@@ -25,8 +25,9 @@ class Graph6Error(ValueError):
 class Graph:
     """Undirected simple graph on vertices 0..order-1.
 
-    ``rows[v]`` has bit u set exactly when {u, v} is an edge.  The matrix
-    must be symmetric and loop-free; this is validated on construction.
+    ``rows`` is a tuple; ``rows[v]`` has bit u set exactly when {u, v} is an
+    edge.  The matrix must be symmetric and loop-free; this is validated on
+    construction.
     """
 
     order: int
@@ -36,6 +37,8 @@ class Graph:
         n = self.order
         if n < 0:
             raise ValueError("order must be nonnegative")
+        if not isinstance(self.rows, tuple):
+            raise ValueError("rows must be a tuple")
         if len(self.rows) != n:
             raise ValueError("rows length must equal order")
         cols = [0] * n
@@ -85,6 +88,14 @@ class Graph:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         return cls(order, tuple(rows))
+
+
+def check_patterns(patterns: list[Graph]) -> None:
+    """Reject an empty pattern list and a pattern without vertices."""
+    if not patterns:
+        raise ValueError("at least one pattern is required")
+    if any(p.order < 1 for p in patterns):
+        raise ValueError("patterns must have at least one vertex")
 
 
 def _trusted_graph(order: int, rows: tuple[int, ...]) -> Graph:

@@ -51,7 +51,7 @@ from itertools import combinations
 from pathlib import Path
 from typing import Iterator
 
-from .graphs import Graph, _trusted_graph, relabeled, to_graph6
+from .graphs import Graph, _trusted_graph, check_patterns, relabeled, to_graph6
 from .verifier import extend_partial_map, has_induced_copy, is_full
 
 CANONICAL_ORDER_CAP = 16
@@ -404,11 +404,7 @@ def f_exact(
     cannot be enumerated: a search asked to go beyond returns a
     non-exhaustive result rather than a certificate.
     """
-    if not patterns:
-        raise ValueError("at least one pattern is required")
-    for p in patterns:
-        if p.order < 1:
-            raise ValueError("patterns must have at least one vertex")
+    check_patterns(patterns)
     hi = ENUMERATION_ORDER_CAP if upper_hint is None else upper_hint
     lo, origin = max(p.order for p in patterns), "the largest pattern order"
     if lower_hint is not None and lower_hint > lo:

@@ -12,7 +12,15 @@ import re
 from . import graphs
 from .graphs import Graph, from_graph6
 
-_TERM = re.compile(r"^([KESPC])([0-9]+)$")
+# letter: (least order, builder)
+_FAMILIES = {
+    "K": (1, graphs.complete),
+    "E": (1, graphs.empty),
+    "S": (2, graphs.star),
+    "P": (1, graphs.path),
+    "C": (3, graphs.cycle),
+}
+_TERM = re.compile(f"^([{''.join(_FAMILIES)}])([0-9]+)$")
 
 
 def _parse_term(term: str) -> Graph:
@@ -25,25 +33,10 @@ def _parse_term(term: str) -> Graph:
             "C<n>, or g6:<graph6>"
         )
     kind, num = m.group(1), int(m.group(2))
-    if kind == "K":
-        if num < 1:
-            raise ValueError("K<n> needs n >= 1")
-        return graphs.complete(num)
-    if kind == "E":
-        if num < 1:
-            raise ValueError("E<n> needs n >= 1")
-        return graphs.empty(num)
-    if kind == "S":
-        if num < 2:
-            raise ValueError("S<n> needs n >= 2")
-        return graphs.star(num)
-    if kind == "P":
-        if num < 1:
-            raise ValueError("P<n> needs n >= 1")
-        return graphs.path(num)
-    if num < 3:
-        raise ValueError("C<n> needs n >= 3")
-    return graphs.cycle(num)
+    least, build = _FAMILIES[kind]
+    if num < least:
+        raise ValueError(f"{kind}<n> needs n >= {least}")
+    return build(num)
 
 
 def parse_pattern(text: str) -> Graph:

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, _independent_search, independent_set_with, is_empty_graph, to_graph6
+from .graphs import (Graph, _independent_search, check_patterns, independent_set_with, is_empty_graph,
+                     to_graph6)
 
 
 def extend_partial_map(host: Graph, pattern: Graph, pins: dict[int, int]) -> dict[int, int] | None:
@@ -160,10 +161,7 @@ def is_full(host: Graph, patterns: list[Graph]) -> FullnessReport:
     the independent-set search prefers vertices not yet covered, where its
     choice is free, and the copy keeps them first.
     """
-    if not patterns:
-        raise ValueError("at least one pattern is required")
-    if any(p.order < 1 for p in patterns):
-        raise ValueError("patterns must have at least one vertex")
+    check_patterns(patterns)
     coverages = []
     for pattern in patterns:
         witnesses: dict[int, dict[int, int]] = {}

@@ -94,6 +94,12 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             Graph(3, (0, 0))
 
+    @pytest.mark.parametrize("order, rows", [(3, [0, 0, 0]), (0, []), (2, [0b10, 0b01])])
+    def test_rejects_rows_that_are_not_a_tuple(self, order, rows):
+        # symmetric rows in a list once read as "adjacency is not symmetric"
+        with pytest.raises(ValueError, match="^rows must be a tuple$"):
+            Graph(order, rows)
+
     def test_from_edges_validates(self):
         with pytest.raises(ValueError):
             Graph.from_edges(2, [(0, 2)])
