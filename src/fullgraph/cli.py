@@ -96,6 +96,7 @@ def _read_host(path: str):
 def _cmd_construct(args) -> int:
     tag = args.theorem
     flags = _THEOREMS[tag]
+    # an empty --patterns counts as missing
     if any(getattr(args, flag) in (None, "") for flag in flags):
         raise ValueError(f"--theorem {tag} requires " + " and ".join(f"--{flag}" for flag in flags))
     if "patterns" in flags:
