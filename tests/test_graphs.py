@@ -96,7 +96,7 @@ class TestGraphBasics:
 
     @pytest.mark.parametrize("order, rows", [(3, [0, 0, 0]), (0, []), (2, [0b10, 0b01])])
     def test_rejects_rows_that_are_not_a_tuple(self, order, rows):
-        # symmetric rows in a list once read as "adjacency is not symmetric"
+        # list rows would leave the graph unhashable and unequal to its tuple-row twin
         with pytest.raises(ValueError, match="^rows must be a tuple$"):
             Graph(order, rows)
 
