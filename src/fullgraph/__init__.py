@@ -3,63 +3,55 @@
 The package builds such graphs by the known constructions, evaluates the
 known order bounds exactly, verifies candidates, and settles small
 instances by exhaustive isomorph-free search.
+
+Each public name is imported from its module when it is first used, so
+``import fullgraph`` loads no submodule.
 """
 
-from .bounds import (
-    cyclic_upper,
-    delta_zero_exact,
-    design_upper,
-    egh_formula,
-    general_lower_bound,
-    h_vs_empty_upper,
-    star_closed_form,
-    star_exact,
-    summarize,
-)
-from .constructions import (
-    ConstructionRecipe,
-    complete_bipartite_full,
-    cyclic_full,
-    delta_zero_construction,
-    design_full,
-    h_vs_empty,
-    star_full,
-)
-from .designs import ResolvableDesign, affine_plane
-from .graphs import Graph, Graph6Error, from_graph6, to_graph6
-from .oracle import SearchResult, enumerate_graphs, f_exact
-from .patterns import parse_pattern, parse_pattern_list
-from .verifier import FullnessReport, is_full, recheck_witness
+# public name -> the module that defines it
+_HOME = {
+    "Graph": "graphs",
+    "Graph6Error": "graphs",
+    "ConstructionRecipe": "constructions",
+    "FullnessReport": "verifier",
+    "ResolvableDesign": "designs",
+    "SearchResult": "oracle",
+    "affine_plane": "designs",
+    "complete_bipartite_full": "constructions",
+    "cyclic_full": "constructions",
+    "cyclic_upper": "bounds",
+    "delta_zero_construction": "constructions",
+    "delta_zero_exact": "bounds",
+    "design_full": "constructions",
+    "design_upper": "bounds",
+    "egh_formula": "bounds",
+    "enumerate_graphs": "oracle",
+    "f_exact": "oracle",
+    "from_graph6": "graphs",
+    "general_lower_bound": "bounds",
+    "h_vs_empty": "constructions",
+    "h_vs_empty_upper": "bounds",
+    "is_full": "verifier",
+    "parse_pattern": "patterns",
+    "parse_pattern_list": "patterns",
+    "recheck_witness": "verifier",
+    "star_closed_form": "bounds",
+    "star_exact": "bounds",
+    "star_full": "constructions",
+    "summarize": "bounds",
+    "to_graph6": "graphs",
+}
+__all__ = list(_HOME)
 
-__all__ = [
-    "Graph",
-    "Graph6Error",
-    "ConstructionRecipe",
-    "FullnessReport",
-    "ResolvableDesign",
-    "SearchResult",
-    "affine_plane",
-    "complete_bipartite_full",
-    "cyclic_full",
-    "cyclic_upper",
-    "delta_zero_construction",
-    "delta_zero_exact",
-    "design_full",
-    "design_upper",
-    "egh_formula",
-    "enumerate_graphs",
-    "f_exact",
-    "from_graph6",
-    "general_lower_bound",
-    "h_vs_empty",
-    "h_vs_empty_upper",
-    "is_full",
-    "parse_pattern",
-    "parse_pattern_list",
-    "recheck_witness",
-    "star_closed_form",
-    "star_exact",
-    "star_full",
-    "summarize",
-    "to_graph6",
-]
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

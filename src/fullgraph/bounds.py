@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import asdict, dataclass, field
 
 from . import designs
 from .graphs import (
     Graph,
+    InternalInvariantError,
+    _Record,
     alpha_with_vertex,
     check_patterns,
     complement,
@@ -26,10 +27,6 @@ from .graphs import (
     star_center,
     to_graph6,
 )
-
-
-class InternalInvariantError(RuntimeError):
-    """A self-check failed: the package's own logic is at fault."""
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -224,26 +221,32 @@ def _delta_zero(h: Graph, n: int) -> tuple[int | None, int]:
 # -- aggregated summaries ----------------------------------------------------
 
 
-@dataclass
-class BoundEntry:
-    name: str
-    kind: str  # "lower", "upper", or "exact"
-    value: int | None
-    applicable: bool
-    reason: str = ""
-    details: dict = field(default_factory=dict)
+class BoundEntry(_Record):
+    __slots__ = ("name", "kind", "value", "applicable", "reason", "details")
+
+    def __init__(
+        self,
+        name: str,
+        kind: str,  # "lower", "upper", or "exact"
+        value: int | None,
+        applicable: bool,
+        reason: str = "",
+        details: dict | None = None,
+    ):
+        self._set(name, kind, value, applicable, reason, {} if details is None else details)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._as_dict()
 
 
-@dataclass
-class BoundSummary:
-    instance: dict
-    entries: list[BoundEntry]
+class BoundSummary(_Record):
+    __slots__ = ("instance", "entries")
+
+    def __init__(self, instance: dict, entries: list[BoundEntry]):
+        self._set(instance, entries)
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "best_lower": self.best_lower(), "best_upper": self.best_upper()}
+        return {**self._as_dict(), "best_lower": self.best_lower(), "best_upper": self.best_upper()}
 
     def applicable(self, kind: str) -> list[BoundEntry]:
         return [e for e in self.entries if e.applicable and e.kind == kind]

@@ -14,9 +14,8 @@ import argparse
 import json
 import sys
 
-from . import bounds, constructions, designs, oracle, verifier
-from .bounds import InternalInvariantError
-from .graphs import Graph6Error, empty, from_graph6, star, to_graph6
+# what every command needs; each command imports the rest when it runs
+from .graphs import Graph6Error, InternalInvariantError, empty, from_graph6, star, to_graph6
 from .patterns import parse_pattern_list
 
 # theorem: required flags; with --patterns and --n it builds one pattern against E_n
@@ -94,6 +93,8 @@ def _read_host(path: str):
 
 
 def _cmd_construct(args) -> int:
+    from . import constructions, designs, verifier
+
     tag = args.theorem
     flags = _THEOREMS[tag]
     # an empty --patterns counts as missing
@@ -127,11 +128,12 @@ def _cmd_construct(args) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(g6 + "\n")
+    recipe_dict = recipe.to_dict()
     if args.recipe_out:
         with open(args.recipe_out, "w") as fh:
-            json.dump(recipe.to_dict(), fh, sort_keys=True, indent=2)
+            json.dump(recipe_dict, fh, sort_keys=True, indent=2)
             fh.write("\n")
-    _emit({"graph6": g6, "order": g.order, "recipe": recipe.to_dict(), "verified": verified})
+    _emit({"graph6": g6, "order": g.order, "recipe": recipe_dict, "verified": verified})
     if verified is False:
         print("verification failed: construction is not full for its patterns", file=sys.stderr)
         return 1
@@ -139,6 +141,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verifier
+
     host = _read_host(args.host)
     pats = parse_pattern_list(args.patterns)
     report = verifier.is_full(host, pats)
@@ -147,6 +151,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    from . import bounds
+
     ways = [w for w in (args.egh, args.star, args.patterns) if w]
     if len(ways) != 1:
         raise ValueError("choose exactly one of --egh, --star, --patterns")
@@ -165,6 +171,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from . import oracle
+
     pats = parse_pattern_list(args.patterns)
     result = oracle.f_exact(
         pats,
@@ -179,6 +187,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_design(args) -> int:
+    from . import designs
+
     plane = designs.affine_plane(args.q)
     problems = designs.validate_design(plane)
     if problems:
@@ -231,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("search", help="exact minimum order by exhaustive enumeration")
     s.add_argument("--patterns", required=True)
-    s.add_argument("--max-order", type=int, default=oracle.ENUMERATION_ORDER_CAP)
+    s.add_argument("--max-order", type=int)  # absent: f_exact stops at its enumeration cap
     s.add_argument("--lower", type=int, help="trusted lower bound to start the scan at")
     s.add_argument("--cache-dir", help="result cache directory "
                    "(default: $FULLGRAPH_CACHE, else ~/.cache/fullgraph)")

@@ -13,24 +13,23 @@ graphs.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import Sequence
 
 from . import bounds
-from .bounds import InternalInvariantError
 from .designs import ResolvableDesign, validate_design
-from .graphs import Graph, check_patterns, complete_bipartite, duplicate_vertex, min_degree, to_graph6
+from .graphs import (Graph, InternalInvariantError, _FrozenRecord, check_patterns, complete_bipartite,
+                     duplicate_vertex, min_degree, to_graph6)
 
 
-@dataclass(frozen=True)
-class ConstructionRecipe:
-    theorem_tag: str
-    parameters: dict
-    claimed_order: int
+class ConstructionRecipe(_FrozenRecord):
+    __slots__ = ("theorem_tag", "parameters", "claimed_order")
+
+    def __init__(self, theorem_tag: str, parameters: dict, claimed_order: int):
+        self._set(theorem_tag, parameters, claimed_order)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._as_dict()
 
 
 class _EdgeLedger:
@@ -173,7 +172,8 @@ def h_vs_empty(h: Graph, n: int, r: int | None = None) -> tuple[Graph, Construct
         raise ValueError("pattern must be nonempty")
     delta = min_degree(h)
     if delta == 0:
-        raise ValueError("pattern has min degree 0; use delta_zero_construction instead")
+        raise ValueError("pattern has min degree 0; "
+                         "use delta_zero_construction (--theorem delta_zero) instead")
     m_prime = h.order - delta - 1
     r = bounds.default_ring_count(delta, m_prime, n, r)
     claimed = bounds.h_vs_empty_order(delta, n, r)
@@ -243,7 +243,8 @@ def star_full(m: int, n: int, k: int | None = None) -> tuple[Graph, Construction
     if m < 2:
         raise ValueError("star order must be at least 2")
     if n < m:
-        raise ValueError("requires n >= m; for n < m use complete_bipartite_full")
+        raise ValueError("requires n >= m; "
+                         "for n < m use complete_bipartite_full (--theorem complete_bipartite)")
     if k is None:
         k = bounds.star_upper(m, n).k
     if not 1 <= k <= n - 1:

@@ -9,8 +9,9 @@ whose blocks cover every point pair exactly once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+
+from .graphs import _FrozenRecord
 
 
 class UnsupportedOrderError(ValueError):
@@ -39,13 +40,13 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldTable:
+class FieldTable(_FrozenRecord):
     """Field of order q as lookup tables over elements 0..q-1 (0 and 1 literal)."""
 
-    q: int
-    add: tuple[tuple[int, ...], ...]
-    mul: tuple[tuple[int, ...], ...]
+    __slots__ = ("q", "add", "mul")
+
+    def __init__(self, q: int, add: tuple[tuple[int, ...], ...], mul: tuple[tuple[int, ...], ...]):
+        self._set(q, add, mul)
 
 
 def supported_field_orders_note() -> str:
@@ -107,13 +108,13 @@ def field(q: int) -> FieldTable:
     return FieldTable(q, tuple(add_rows), tuple(mul_rows))
 
 
-@dataclass(frozen=True)
-class ResolvableDesign:
+class ResolvableDesign(_FrozenRecord):
     """Point set 0..point_count-1 with parallel classes of equal-size blocks."""
 
-    point_count: int
-    block_size: int
-    classes: tuple[tuple[tuple[int, ...], ...], ...]
+    __slots__ = ("point_count", "block_size", "classes")
+
+    def __init__(self, point_count: int, block_size: int, classes: tuple[tuple[tuple[int, ...], ...], ...]):
+        self._set(point_count, block_size, classes)
 
     def to_dict(self) -> dict:
         return {

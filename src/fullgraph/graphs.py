@@ -7,8 +7,11 @@ operations return new graphs; nothing mutates in place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
+
+
+class InternalInvariantError(RuntimeError):
+    """A self-check failed: the package's own logic is at fault."""
 
 
 class Graph6Error(ValueError):
@@ -21,8 +24,66 @@ class Graph6Error(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
-class Graph:
+def _plain(value):
+    """``value`` with every record turned into a dict and every dict, list and tuple copied."""
+    if isinstance(value, _Record):
+        return value._as_dict()
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(_plain(v) for v in value)
+    return value
+
+
+class _Record:
+    """A record whose fields are its ``__slots__``, in the order ``__init__`` takes them.
+
+    A record equals one of its own class whose ``_key`` is equal, and it is
+    shown field by field.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def _as_dict(self) -> dict:
+        """Every field by name, sharing no dict, list or tuple with the record."""
+        return {name: _plain(getattr(self, name)) for name in self.__slots__}
+
+
+class _FrozenRecord(_Record):
+    """A record whose fields cannot be assigned; it hashes by its ``_key``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+class Graph(_FrozenRecord):
     """Undirected simple graph on vertices 0..order-1.
 
     ``rows`` is a tuple; ``rows[v]`` has bit u set exactly when {u, v} is an
@@ -30,9 +91,14 @@ class Graph:
     construction.
     """
 
-    order: int
-    rows: tuple[int, ...]
+    __slots__ = ("order", "rows")
 
+    def __init__(self, order: int, rows: tuple[int, ...]):
+        self._set(order, rows)
+        self.__post_init__()
+
+    # The validator keeps the name of the dataclass hook it once was:
+    # perfbench/tracer.py wraps ``Graph.__post_init__`` to count validations.
     def __post_init__(self):
         n = self.order
         if n < 0:
@@ -98,10 +164,14 @@ def check_patterns(patterns: list[Graph]) -> None:
         raise ValueError("patterns must have at least one vertex")
 
 
+_set_order, _set_rows = Graph.order.__set__, Graph.rows.__set__
+
+
 def _trusted_graph(order: int, rows: tuple[int, ...]) -> Graph:
     """A Graph built without validation, for rows symmetric and loop-free by construction."""
     g = object.__new__(Graph)
-    g.__dict__.update(order=order, rows=rows)
+    _set_order(g, order)
+    _set_rows(g, rows)
     return g
 
 

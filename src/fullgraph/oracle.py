@@ -45,13 +45,12 @@ import json
 import os
 import struct
 import time
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
 from typing import Iterator
 
-from .graphs import Graph, _trusted_graph, check_patterns, relabeled, to_graph6
+from .graphs import Graph, _FrozenRecord, _trusted_graph, check_patterns, relabeled, to_graph6
 from .verifier import extend_partial_map, has_induced_copy, is_full
 
 CANONICAL_ORDER_CAP = 16
@@ -281,16 +280,25 @@ def enumerate_graphs(order: int) -> Iterator[Graph]:
 # -- exact minimum search -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    patterns: tuple[str, ...]          # canonical graph6 of each pattern, sorted
-    f: int | None
-    witness: str | None                # graph6 of a minimum-order example
-    exhausted_orders: tuple[int, ...]  # orders fully scanned without a hit
-    examined: dict[int, int]           # order -> graphs examined
-    exhaustive: bool
-    note: str = ""
-    wall_time: float = field(default=0.0, compare=False)
+class SearchResult(_FrozenRecord):
+    __slots__ = ("patterns", "f", "witness", "exhausted_orders", "examined", "exhaustive", "note",
+                 "wall_time")
+
+    def __init__(
+        self,
+        patterns: tuple[str, ...],          # canonical graph6 of each pattern, sorted
+        f: int | None,
+        witness: str | None,                # graph6 of a minimum-order example
+        exhausted_orders: tuple[int, ...],  # orders fully scanned without a hit
+        examined: dict[int, int],           # order -> graphs examined
+        exhaustive: bool,
+        note: str = "",
+        wall_time: float = 0.0,
+    ):
+        self._set(patterns, f, witness, exhausted_orders, examined, exhaustive, note, wall_time)
+
+    def _key(self) -> tuple:
+        return super()._key()[:-1]  # results equal but for wall_time are equal
 
     def to_dict(self) -> dict:
         return {

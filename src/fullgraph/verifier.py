@@ -10,10 +10,8 @@ and non-edges both match.  Edgeless patterns use ``independent_set_with``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .graphs import (Graph, _independent_search, check_patterns, independent_set_with, is_empty_graph,
-                     to_graph6)
+from .graphs import (Graph, _FrozenRecord, _independent_search, check_patterns, independent_set_with,
+                     is_empty_graph, to_graph6)
 
 
 def extend_partial_map(host: Graph, pattern: Graph, pins: dict[int, int]) -> dict[int, int] | None:
@@ -121,17 +119,23 @@ def has_induced_copy(host: Graph, pattern: Graph) -> bool:
     return extend_partial_map(host, pattern, {}) is not None
 
 
-@dataclass(frozen=True)
-class PatternCoverage:
-    pattern_g6: str
-    witnesses: dict[int, dict[int, int]]  # host vertex -> role map covering it
-    uncovered: tuple[int, ...]
+class PatternCoverage(_FrozenRecord):
+    __slots__ = ("pattern_g6", "witnesses", "uncovered")
+
+    def __init__(
+        self,
+        pattern_g6: str,
+        witnesses: dict[int, dict[int, int]],  # host vertex -> role map covering it
+        uncovered: tuple[int, ...],
+    ):
+        self._set(pattern_g6, witnesses, uncovered)
 
 
-@dataclass(frozen=True)
-class FullnessReport:
-    host_order: int
-    coverages: tuple[PatternCoverage, ...]
+class FullnessReport(_FrozenRecord):
+    __slots__ = ("host_order", "coverages")
+
+    def __init__(self, host_order: int, coverages: tuple[PatternCoverage, ...]):
+        self._set(host_order, coverages)
 
     @property
     def verdict(self) -> bool:

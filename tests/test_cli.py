@@ -160,6 +160,25 @@ class TestConstruct:
         assert p.returncode == 2
         assert "error" in p.stderr.lower()
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--theorem", "star", "--m", "3", "--n", "2"],
+         "requires n >= m; for n < m use complete_bipartite_full (--theorem complete_bipartite)"),
+        (["--theorem", "h_vs_empty", "--patterns", "K2+K1", "--n", "9"],
+         "pattern has min degree 0; use delta_zero_construction (--theorem delta_zero) instead"),
+    ])
+    def test_precondition_error_names_the_theorem(self, argv, message, capsys):
+        assert main(["construct", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_recipe_file_is_the_printed_recipe(self, tmp_path, capsys):
+        rec = tmp_path / "r.json"
+        assert main(["construct", "--theorem", "star", "--m", "4", "--n", "9", "--recipe-out", str(rec)]) == 0
+        printed = json.loads(capsys.readouterr().out)["recipe"]
+        assert json.loads(rec.read_text()) == printed
+        assert rec.read_text() == json.dumps(printed, sort_keys=True, indent=2) + "\n"
+
     def test_no_verify_skips_check(self):
         p = run("construct", "--theorem", "cyclic", "--patterns", "K2", "--no-verify")
         assert p.returncode == 0
