@@ -97,8 +97,8 @@ class Graph(_FrozenRecord):
         self._set(order, rows)
         self.__post_init__()
 
-    # The validator keeps the name of the dataclass hook it once was:
-    # perfbench/tracer.py wraps ``Graph.__post_init__`` to count validations.
+    # named __post_init__ because perfbench/tracer.py wraps ``Graph.__post_init__``
+    # to count validations; renamed, its graphs.graph_new metric reads nothing
     def __post_init__(self):
         n = self.order
         if n < 0:
