@@ -25,9 +25,12 @@ from hypothesis import strategies as st
 from fullgraph import oracle
 from fullgraph.graphs import (
     Graph,
+    complement,
     complete,
+    complete_bipartite,
     cycle,
     disjoint_union,
+    duplicate_vertex,
     empty,
     from_graph6,
     path,
@@ -53,7 +56,7 @@ from fullgraph.oracle import (
     resolve_cache_dir,
 )
 from fullgraph.patterns import parse_pattern_list
-from fullgraph.verifier import find_induced_copy_containing, is_full
+from fullgraph.verifier import extend_partial_map, find_induced_copy_containing, is_full
 
 
 def canonical_labeling(g):
@@ -68,6 +71,29 @@ def unpack_rows(data, n):
     """Rows of a packed representative: (n + 7) // 8 little-endian bytes a row."""
     width = (n + 7) // 8
     return tuple(int.from_bytes(data[i:i + width], "little") for i in range(0, n * width, width))
+
+
+def blow_up(g, sizes):
+    """Replace vertex v of g by sizes[v] pairwise non-adjacent twins."""
+    for v, size in enumerate(sizes):
+        for _ in range(size - 1):
+            g = duplicate_vertex(g, v)
+    return g
+
+
+def twin_heavy_graphs():
+    """Graphs of order 8-16 whose vertices fall into few classes of twins."""
+    yield empty(16)
+    yield complete(16)
+    yield star(16)
+    yield complete_bipartite(3, 5)
+    yield disjoint_union(*[complete(4)] * 4)
+    yield disjoint_union(empty(8), complete(8))
+    for sizes in [(3, 3, 4), (2, 2, 2, 2, 2, 2), (1, 2, 3, 4, 5), (4, 4, 4, 4), (1, 1, 7, 7)]:
+        yield complement(disjoint_union(*(complete(s) for s in sizes)))  # complete multipartite
+    for g, sizes in [(cycle(5), (2, 3, 1, 4, 2)), (path(4), (3, 1, 4, 2)), (cycle(6), (1, 2, 3, 1, 2, 3))]:
+        yield blow_up(g, sizes)
+        yield complement(blow_up(g, sizes))  # twins adjacent to each other
 
 
 def labeled_space(n):
@@ -141,6 +167,20 @@ class TestCanonicalForm:
         assert len(forms) == 659
         assert hashlib.sha1(b"\n".join(forms)).hexdigest()[:12] == "35425d762526"
 
+    def test_forms_of_twin_heavy_graphs_are_pinned(self):
+        # the pin above holds random graphs and circulants, which have few twins
+        rng = random.Random(20)
+        forms = []
+        for g in twin_heavy_graphs():
+            form = canonical_form(g)
+            for _ in range(5):
+                perm = list(range(g.order))
+                rng.shuffle(perm)
+                assert canonical_form(relabeled(g, perm)) == form
+            forms.append(form)
+        assert len(forms) == 17
+        assert hashlib.sha1(b"\n".join(forms)).hexdigest()[:12] == "e3bc0b7acaba"
+
 
 def orbits_of(n, perms):
     """Vertex orbits of the group generated by ``perms``, as a set of frozensets."""
@@ -158,6 +198,25 @@ def orbits_of(n, perms):
     for v in range(n):
         groups.setdefault(find(v), set()).add(v)
     return {frozenset(c) for c in groups.values()}
+
+
+def proven_orbits(g):
+    """Vertex orbits of Aut(g), each vertex proved equivalent to its orbit's first by a copy search."""
+    orbits = []
+    for v in range(g.order):
+        for orbit in orbits:
+            if extend_partial_map(g, g, {orbit[0]: v}) is not None:
+                orbit.append(v)
+                break
+        else:
+            orbits.append([v])
+    return {frozenset(o) for o in orbits}
+
+
+def is_automorphism(g, p):
+    rows = g.rows
+    return sorted(p) == list(range(g.order)) and all(
+        rows[p[v]] == sum(1 << p[u] for u in range(g.order) if rows[v] >> u & 1) for v in range(g.order))
 
 
 class TestRecordedGenerators:
@@ -183,6 +242,17 @@ class TestRecordedGenerators:
                         closure.add(b)
                         frontier.append(b)
             assert len(closure) == len(group)
+
+    @pytest.mark.parametrize("graphs", [
+        pytest.param(lambda: enumerate_graphs(7), id="order-7"),
+        pytest.param(twin_heavy_graphs, id="twin-heavy"),
+    ])
+    def test_are_automorphisms_with_the_proven_orbits(self, graphs):
+        for g in graphs():
+            gens = []
+            _canonical_search(g, gens)
+            assert all(is_automorphism(g, p) for p in gens), to_graph6(g)
+            assert orbits_of(g.order, gens) == proven_orbits(g), to_graph6(g)
 
     def test_search_leaves_nothing_for_the_cyclic_collector(self):
         graphs = [cycle(5), path(6), complete(4), disjoint_union(cycle(4), cycle(4)), cycle(8)]
