@@ -71,15 +71,19 @@ def _refine(rows: tuple[int, ...], partition: list[list[int]], splitters: list[l
     """
     while splitters:
         masks = [sum(1 << v for v in cell) for cell in splitters]
+        single = masks[0] if len(masks) == 1 else 0
         new: list[list[int]] = []
         splitters = []
         for cell in partition:
             if len(cell) == 1:
                 new.append(cell)
                 continue
-            keyed: dict[tuple[int, ...], list[int]] = {}
+            keyed: dict[int | tuple[int, ...], list[int]] = {}
             for v in cell:
-                key = tuple((rows[v] & m).bit_count() for m in masks)
+                if single:  # one splitter: its count alone, which sorts as its 1-tuple would
+                    key = (rows[v] & single).bit_count()
+                else:
+                    key = tuple([(rows[v] & m).bit_count() for m in masks])
                 keyed.setdefault(key, []).append(v)
             if len(keyed) == 1:
                 new.append(cell)
@@ -140,6 +144,13 @@ def _canonical_search(
         kept: list[int] = []
         for v in target:
             for u in kept:
+                if not (rows[v] ^ rows[u]) & ~(1 << u | 1 << v):
+                    # twins: swapping u and v is an automorphism fixing the prefix
+                    if gens is not None:
+                        swap = list(range(n))
+                        swap[u], swap[v] = v, u
+                        gens.append(tuple(swap))
+                    break
                 if (rows[v] & prefix_mask) == (rows[u] & prefix_mask):
                     pins[v] = u
                     if (found := extend_partial_map(g, g, pins)) is not None:

@@ -367,6 +367,38 @@ oracle._children = lambda rows, z: extended.append(z) or children(rows, z)
         assert digest == "19a4a06bbc42"
 
 
+class TestWorkCounts:
+    """Automorphism tests and refinements that enumerating order 8 makes.
+
+    Counted in a child interpreter, so the level store starts empty, through
+    the names ``oracle`` calls them by.
+    """
+
+    CODE = """
+import json, sys
+sys.path.insert(0, {src!r})
+from fullgraph import oracle
+counts = dict.fromkeys(["extend_partial_map", "_refine"], 0)
+def counted(name, f):
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return f(*args, **kwargs)
+    return wrapper
+for name in counts:
+    setattr(oracle, name, counted(name, getattr(oracle, name)))
+for _ in oracle.enumerate_graphs(8): pass
+print(json.dumps(counts))
+"""
+
+    def test_order_eight_counts_are_pinned(self):
+        src = str(Path(oracle.__file__).resolve().parent.parent)
+        p = subprocess.run([sys.executable, "-c", self.CODE.format(src=src)],
+                           capture_output=True, text=True, timeout=120)
+        assert p.returncode == 0, p.stderr
+        # twin candidates are pruned without a copy search (11,816 tests when each one was searched)
+        assert json.loads(p.stdout) == {"extend_partial_map": 3639, "_refine": 18360}
+
+
 @pytest.mark.slow
 class TestEnumerationLarge:
     def test_order_nine_count(self):
