@@ -5,7 +5,11 @@ with branch and bound; the certificate is the lexicographically least
 adjacency-column sequence over the refinement-pruned orderings, and branches
 whose partial certificate already exceeds the best are cut, as are target-cell
 candidates equivalent to an already-tried one under an automorphism fixing the
-current prefix pointwise.
+current prefix pointwise.  A candidate whose row agrees with a kept one's
+outside the two of them is its twin; swapping the two is such an
+automorphism, so it is pruned with no copy search.  Kept candidates are
+pairwise inequivalent, so which automorphism proves a pruning changes neither
+the labeling nor the group the proved automorphisms generate.
 
 Enumeration, by canonical augmentation (McKay 1998): each representative of
 order n-1 is extended by one vertex over the least neighbourhood subset of
@@ -104,6 +108,10 @@ def _canonical_search(
     each refined when popped; a node's kept children are pushed in reverse,
     so they are searched in target-cell order.
 
+    A target-cell candidate v is pruned when an automorphism fixing the
+    prefix maps it to a kept candidate u.  When v and u are twins (their rows
+    agree outside {u, v}) that automorphism is their transposition, and no
+    copy search is made; otherwise ``extend_partial_map`` looks for one.
     Every automorphism proved by target-cell pruning is appended to ``gens``
     (if given) as a permutation tuple; together they generate Aut(g).
     ``root``, if given, is the refinement of the unit partition, already made.

@@ -395,7 +395,7 @@ print(json.dumps(counts))
         p = subprocess.run([sys.executable, "-c", self.CODE.format(src=src)],
                            capture_output=True, text=True, timeout=120)
         assert p.returncode == 0, p.stderr
-        # twin candidates are pruned without a copy search (11,816 tests when each one was searched)
+        # a twin candidate is pruned with no copy search, so most prunings make no test
         assert json.loads(p.stdout) == {"extend_partial_map": 3639, "_refine": 18360}
 
 
