@@ -59,7 +59,6 @@ from .verifier import extend_partial_map, has_induced_copy, is_full
 
 CANONICAL_ORDER_CAP = 16
 ENUMERATION_ORDER_CAP = 9
-_SEARCH_CHUNK = 512
 
 
 # -- canonical labeling -------------------------------------------------------
@@ -423,13 +422,10 @@ def f_exact(
     isomorphism-class representatives.  A host with a vertex outside some
     pattern's degree window (``_degree_window``) cannot be full and is
     skipped unsearched; so are hosts lacking even one copy of some pattern.
-    Skipped hosts still count in ``examined``.  The witness is the
-    lexicographically least graph6 string among the hits of the first block
-    of 512 consecutive hosts, in enumeration order, that has one; witnesses
-    are printed and cached, so this rule stays fixed until a documented
-    change of the search replaces it (ROADMAP item 2).  Orders above 9
-    cannot be enumerated: a search asked to go beyond returns a
-    non-exhaustive result rather than a certificate.
+    Skipped hosts still count in ``examined``.  The witness is the first
+    full host in enumeration order, and ``examined`` at f is its 1-based
+    position there.  Orders above 9 cannot be enumerated: a search asked to
+    go beyond returns a non-exhaustive result rather than a certificate.
     """
     check_patterns(patterns)
     hi = ENUMERATION_ORDER_CAP if upper_hint is None else upper_hint
@@ -440,8 +436,9 @@ def f_exact(
         raise ValueError(f"search would start at {lo}, {origin}, but stop at {hi}")
 
     canon = tuple(sorted(_pattern_form(p.order, p.rows) for p in patterns))
-    # version 2: records from before the note on unexamined orders was corrected are never hit
-    key = json.dumps({"patterns": list(canon), "lo": lo, "hi": hi, "version": 2}, sort_keys=True)
+    # version 3: version-2 records hold the least hit of the first 512-host block
+    # as witness, and older ones an uncorrected note; neither is ever hit
+    key = json.dumps({"patterns": list(canon), "lo": lo, "hi": hi, "version": 3}, sort_keys=True)
     cdir = resolve_cache_dir(cache_dir)
     # made before the scan, so a directory that cannot be made costs no search
     cdir.mkdir(parents=True, exist_ok=True)
@@ -458,18 +455,15 @@ def f_exact(
         window = -1
         for p in patterns:
             window &= _degree_window(p, order)
-        hits: list[str] = []
         for count, g in enumerate(enumerate_graphs(order), 1):
             if (all(window >> r.bit_count() & 1 for r in g.rows)
                     and all(has_induced_copy(g, p) for p in patterns)
                     and is_full(g, patterns).verdict):
-                hits.append(to_graph6(g))
-            if hits and count % _SEARCH_CHUNK == 0:
+                witness = to_graph6(g)
                 break
         examined[order] = count
-        if hits:
+        if witness is not None:
             f_value = order
-            witness = min(hits)
             break
         exhausted.append(order)
 

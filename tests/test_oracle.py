@@ -67,6 +67,23 @@ def enumeration_digest(n):
     return hashlib.sha1("\n".join(to_graph6(g) for g in enumerate_graphs(n)).encode()).hexdigest()[:12]
 
 
+def brute_is_full(host, patterns):
+    """Fullness by brute force: each vertex subset of a pattern's order is compared
+    pairwise with every relabeling of the pattern."""
+    everyone = set(range(host.order))
+    for p in patterns:
+        pairs = list(itertools.combinations(range(p.order), 2))
+        shapes = {tuple((p.rows[perm[i]] >> perm[j]) & 1 for i, j in pairs)
+                  for perm in itertools.permutations(range(p.order))}
+        covered = set()
+        for combo in itertools.combinations(range(host.order), p.order):
+            if tuple((host.rows[combo[i]] >> combo[j]) & 1 for i, j in pairs) in shapes:
+                covered.update(combo)
+        if covered != everyone:
+            return False
+    return True
+
+
 def unpack_rows(data, n):
     """Rows of a packed representative: (n + 7) // 8 little-endian bytes a row."""
     width = (n + 7) // 8
@@ -615,19 +632,21 @@ class TestFExact:
         with pytest.raises(ValueError):
             f_exact([], cache_dir=tmp_path)
 
-    def test_witness_is_lex_least_in_first_hit_chunk(self, tmp_path):
-        # rerunning gives the identical witness: determinism contract
-        a = f_exact([complete(2), empty(2)], cache_dir=tmp_path / "a")
-        b = f_exact([complete(2), empty(2)], cache_dir=tmp_path / "b")
-        assert a.witness == b.witness == "CQ"
+    @pytest.mark.parametrize("instance,position", [("K2,E2", 5), ("P4,E4", 65), ("C5,E3", 385)])
+    def test_witness_is_the_first_full_host_in_walk_order(self, tmp_path, instance, position):
+        patterns = parse_pattern_list(instance)
+        r = f_exact(patterns, cache_dir=tmp_path)
+        first = next((i, g) for i, g in enumerate(enumerate_graphs(r.f), 1) if brute_is_full(g, patterns))
+        assert first == (position, from_graph6(r.witness))
+        assert r.examined[r.f] == position
 
     def test_pattern_order_lower_bounds_result(self, tmp_path):
         r = f_exact([path(4)], cache_dir=tmp_path)
         assert r.f == 4
 
     @pytest.mark.parametrize("instance,digest", [
-        ("K3,E3", "8e29e934bb11"), ("S4,E5", "a9e29dcf8e02"), ("C4,E4", "884feeb08888"),
-        ("P4,E4", "271bf3ca6c00"), ("C5,E3", "9fbaecb75d68"), ("K2+E1,E3", "dcefc215b896"),
+        ("K3,E3", "29fea32b17be"), ("S4,E5", "805a674db6bd"), ("C4,E4", "293ba8ce4cf9"),
+        ("P4,E4", "ddbcef93a8fb"), ("C5,E3", "aefa77390b26"), ("K2+E1,E3", "0aa6d4e64f12"),
     ])
     def test_answers_are_pinned(self, tmp_path, instance, digest):
         # f, witness and examined counts per order; S4,E5 streams into order 9
@@ -701,7 +720,19 @@ class TestCache:
         assert f_exact([complete(2), empty(2)], cache_dir=tmp_path).f == 4
         keys = [json.loads(line)["key"] for line in (tmp_path / "f_exact.jsonl").read_text().splitlines()]
         assert len(keys) == 2
-        assert json.loads(keys[1]) == {"hi": 9, "lo": 2, "patterns": canon, "version": 2}
+        assert json.loads(keys[1]) == {"hi": 9, "lo": 2, "patterns": canon, "version": 3}
+
+    def test_records_of_the_block_witness_rule_are_not_answered(self, tmp_path):
+        # version-2 keys hold witnesses picked as the least hit of a 512-host block
+        canon = sorted(canonical_form(g).decode() for g in (complete(2), empty(2)))
+        bogus = SearchResult(patterns=tuple(canon), f=4, witness="C~", exhausted_orders=(2, 3),
+                             examined={2: 2, 3: 4, 4: 11}, exhaustive=True)
+        key = {"hi": 9, "lo": 2, "patterns": canon, "version": 2}
+        _cache_store(tmp_path, json.dumps(key, sort_keys=True), bogus)
+        r = f_exact([complete(2), empty(2)], cache_dir=tmp_path)
+        assert r.witness == "CQ" and r.examined == {2: 2, 3: 4, 4: 5}
+        keys = [json.loads(line)["key"] for line in (tmp_path / "f_exact.jsonl").read_text().splitlines()]
+        assert [json.loads(k) for k in keys] == [key, {**key, "version": 3}]
 
     def test_resolution_order(self, tmp_path, monkeypatch):
         explicit = tmp_path / "explicit"

@@ -67,3 +67,16 @@ def test_construct_reaches_the_wrapped_builders():
                              "             ['delta_zero', '--patterns', 'K2+K1', '--n', '3']]:\n"
                              "    assert cli.main(['construct', '--theorem', *argv]) == 0")
     assert summary["calls"]["constructions.build"] == 6
+
+
+def test_hosts_examined_counts_the_hosts_the_search_examined(tmp_path):
+    # the tracer counts hosts by rebinding oracle.enumerate_graphs, so the
+    # search must read that global at call time, and is_full and
+    # has_induced_copy must stay bound in oracle
+    summary = traced_summary("from fullgraph import oracle, patterns\n"
+                             "oracle.f_exact(patterns.parse_pattern_list('C5,E3'), "
+                             f"cache_dir={str(tmp_path)!r})")
+    record = json.loads((tmp_path / "f_exact.jsonl").read_text())["result"]
+    assert summary["counters"]["oracle.hosts_examined"] == sum(record["examined"].values())
+    assert summary["calls"]["oracle.prefilter"] > 0
+    assert summary["calls"]["oracle.host_check"] > 0
