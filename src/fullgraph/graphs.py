@@ -243,24 +243,6 @@ def duplicate_vertex(g: Graph, v: int) -> Graph:
     return Graph(n + 1, tuple(rows))
 
 
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
-    """Subgraph induced on ``vertices``, relabeled by ascending original index."""
-    members = sorted(set(vertices))
-    for v in members:
-        if not 0 <= v < g.order:
-            raise ValueError(f"vertex {v} outside 0..{g.order - 1}")
-    pos = {v: i for i, v in enumerate(members)}
-    rows = [0] * len(members)
-    for v in members:
-        w = g.rows[v]
-        while w:
-            u = (w & -w).bit_length() - 1
-            if u in pos:
-                rows[pos[v]] |= 1 << pos[u]
-            w &= w - 1
-    return Graph(len(members), tuple(rows))
-
-
 def relabeled(g: Graph, labeling: Iterable[int]) -> Graph:
     """Relabel so that new vertex i is old vertex labeling[i]."""
     lab = list(labeling)

@@ -35,7 +35,6 @@ from fullgraph.graphs import (
     duplicate_vertex,
     empty,
     from_graph6,
-    induced_subgraph,
     max_degree,
     min_degree,
     path,
@@ -229,6 +228,13 @@ def _brute_isomorphic(a, b):
                for i in vs for j in vs if i < j):
             return True
     return False
+
+
+def induced_subgraph(g, vertices):
+    """Subgraph induced on ``vertices``, relabeled by ascending original index."""
+    members = sorted(set(vertices))
+    return Graph(len(members), tuple(sum(((g.rows[v] >> u) & 1) << i for i, u in enumerate(members))
+                                     for v in members))
 
 
 def _brute_is_full(host, patterns):

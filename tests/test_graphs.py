@@ -28,7 +28,6 @@ from fullgraph.graphs import (
     from_graph6,
     independence_number,
     independent_set_with,
-    induced_subgraph,
     is_complete_graph,
     is_empty_graph,
     max_degree,
@@ -46,6 +45,13 @@ nx = pytest.importorskip("networkx")
 def degree_into_set(g, v, members):
     """Number of neighbours of v inside ``members``."""
     return sum(g.adjacent(v, u) for u in members)
+
+
+def induced_subgraph(g, vertices):
+    """Subgraph induced on ``vertices``, relabeled by ascending original index."""
+    members = sorted(set(vertices))
+    return Graph(len(members), tuple(sum(((g.rows[v] >> u) & 1) << i for i, u in enumerate(members))
+                                     for v in members))
 
 
 def random_graph(rng, lo=0, hi=10):
