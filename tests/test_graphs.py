@@ -4,7 +4,9 @@ networkx is used here purely as an independent reference implementation
 for the graph6 interchange format; the package itself never imports it.
 """
 
+import hashlib
 import itertools
+import json
 import random
 import tracemalloc
 
@@ -439,3 +441,92 @@ class TestGraph6:
     def test_decoder_accepts_trailing_newline(self):
         assert from_graph6("A_\n") == complete(2)
         assert from_graph6("A_\r\n") == complete(2)
+
+
+def g6_outcome(text):
+    """What ``from_graph6`` makes of ``text``: the order and rows, or the error and its offset."""
+    try:
+        g = from_graph6(text)
+    except Graph6Error as exc:
+        return ["error", str(exc), exc.offset]
+    return ["graph", g.order, [format(r, "x") for r in g.rows]]
+
+
+def mutated(rng, text):
+    """``text`` with one character replaced, deleted or inserted, or cut short."""
+    i = rng.randrange(len(text) + 1)
+    c = chr(rng.randrange(58, 131))  # mostly graph6 characters, some outside 63..126
+    kind = rng.choice("rdit")
+    if kind == "r":
+        return text[:i] + c + text[i + 1:]
+    if kind == "d":
+        return text[:i] + text[i + 1:]
+    if kind == "i":
+        return text[:i] + c + text[i:]
+    return text[:i]
+
+
+def corpus_digest(texts):
+    return hashlib.sha1(json.dumps([g6_outcome(t) for t in texts]).encode()).hexdigest()
+
+
+class TestGraph6Corpus:
+    """Every outcome of the decoder, graph or (message, offset), pinned on valid and mutated text."""
+
+    @pytest.mark.parametrize("text, message, offset", [
+        ("", "empty graph6 string", 0),
+        ("\r\n", "empty graph6 string", 0),
+        ("\x1f", "byte out of graph6 range 63..126 in size header", 0),
+        ("~", "truncated graph6 string: missing size header", 1),
+        ("~~", "order beyond the three-byte size prefix is unsupported", 1),
+        ("~??", "truncated graph6 string: missing size header", 3),
+        ("~?\x1f?", "byte out of graph6 range 63..126 in size header", 2),
+        ("~??A", "truncated graph6 string: missing edge data", 4),
+        ("~?A?", "truncated graph6 string: missing edge data", 4),
+        ("A", "truncated graph6 string: missing edge data", 1),
+        ("A\x7f", "byte out of graph6 range 63..126 in edge data", 1),
+        ("Aé", "byte out of graph6 range 63..126 in edge data", 1),
+        ("A\udcc3", "byte out of graph6 range 63..126 in edge data", 1),  # a lone surrogate
+        ("D?\x7f", "byte out of graph6 range 63..126 in edge data", 2),
+        ("D\x7f??", "byte out of graph6 range 63..126 in edge data", 1),
+        ("A`", "nonzero padding bits", 1),
+        ("A_?", "trailing garbage after graph6 data", 2),
+        ("A_é", "trailing garbage after graph6 data", 2),
+        ("D??\x7f", "trailing garbage after graph6 data", 3),
+        ("@?", "trailing garbage after graph6 data", 1),
+    ])
+    def test_hand_made_errors(self, text, message, offset):
+        assert g6_outcome(text) == ["error", f"{message} (byte offset {offset})", offset]
+
+    @pytest.mark.parametrize("text, order, rows", [
+        ("?", 0, ()),
+        ("@", 1, (0,)),
+        ("A_\n\n", 2, (2, 1)),
+        ("~??A_", 2, (2, 1)),  # the long size header for a small order
+    ])
+    def test_hand_made_graphs(self, text, order, rows):
+        assert from_graph6(text) == Graph(order, rows)
+
+    # digests of g6_outcome over each density's graphs and their six mutations each,
+    # measured with the decoder that walked the vertex pairs one bit at a time
+    @pytest.mark.parametrize("density, digest", [
+        (0.0, "4b3eaca18e65885ececdb15f992492eff9ac4314"),
+        (0.05, "4ce28c333f7fe32dfa175fc0addeedda1e00108e"),
+        (0.3, "0209d3fb0588cf4dd998fbf291385ed033376f81"),
+        (0.9, "89bdb0d1f4cbd7c7f7ae838635fa510d77654c0f"),
+    ])
+    def test_random_graphs_and_mutations(self, density, digest):
+        rng = random.Random(f"graph6 corpus {density}")
+        texts = []
+        for n in [*range(70), 150, 300]:
+            g = Graph.from_edges(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < density])
+            text = to_graph6(g)
+            texts += [text, *(mutated(rng, text) for _ in range(6))]
+        assert corpus_digest(texts) == digest
+
+    def test_large_host_and_mutations(self):
+        g, _ = h_vs_empty(cycle(5), 1000)
+        text = to_graph6(g)
+        rng = random.Random("graph6 corpus host")
+        texts = [text, *(mutated(rng, text) for _ in range(6))]
+        assert corpus_digest(texts) == "45627fd7075dd3ffe9e477f654eefa8e14d777d2"
