@@ -402,8 +402,9 @@ def star_center(g: Graph) -> int | None:
 _G6_MAX_ORDER = 258047  # largest order expressible with the three-byte size prefix
 
 
-# each six-bit group, as a string of 0s and 1s, -> its graph6 character
+# each six-bit group, as a string of 0s and 1s, -> its graph6 character, and back
 _G6_CHAR = {format(x, "06b"): chr(63 + x) for x in range(64)}
+_G6_BITS = {ord(c): bits for bits, c in _G6_CHAR.items()}  # a str.translate table
 _G6_BLOCK = 6 << 10  # bits converted at a time, so no whole bit string is built
 
 
@@ -412,7 +413,8 @@ def to_graph6(g: Graph) -> str:
 
     Column v's bits (u = 0..v-1) are the low v bits of row v, reversed (read
     below a sentinel bit v, so that leading zeros stay); they are converted a
-    block at a time through a table of the 64 groups.
+    block at a time through a table of the 64 groups.  ``from_graph6`` is
+    the mirror.
     """
     n = g.order
     if n > _G6_MAX_ORDER:
@@ -435,57 +437,51 @@ def to_graph6(g: Graph) -> str:
     return "".join(out)
 
 
+def _g6_chars(s: str, lo: int, hi: int, why: str) -> str:
+    """``s[lo:hi]``, every character of it in graph6 range and none missing."""
+    chunk = s[lo:hi]
+    if chunk and (min(chunk) < "?" or max(chunk) > "~"):
+        at = next(i for i, c in enumerate(chunk) if not "?" <= c <= "~")
+        raise Graph6Error(f"byte out of graph6 range 63..126 in {why}", lo + at)
+    if len(chunk) < hi - lo:
+        raise Graph6Error(f"truncated graph6 string: missing {why}", len(s))
+    return chunk
+
+
 def from_graph6(text: str) -> Graph:
+    """The graph of a graph6 string, trailing newlines allowed: the mirror of ``to_graph6``.
+
+    Characters become six-bit groups through the same table, a block at a
+    time, and column v's v bits, reversed, are the low v bits of row v.
+    Offsets in errors count UTF-8 bytes; they equal character indices,
+    since every character before the first error is ASCII.
+    """
     s = text.rstrip("\r\n")
     if not s:
         raise Graph6Error("empty graph6 string", 0)
-    data = s.encode("utf-8", "surrogatepass")  # any non-ASCII character gives a byte above 126
-    pos = 0
-
-    def take(why: str) -> int:
-        nonlocal pos
-        if pos >= len(data):
-            raise Graph6Error(f"truncated graph6 string: missing {why}", pos)
-        b = data[pos]
-        if not 63 <= b <= 126:
-            raise Graph6Error(f"byte out of graph6 range 63..126 in {why}", pos)
-        pos += 1
-        return b - 63
-
-    first = take("size header")
-    if first == 63:  # '~': multi-byte order prefix
-        if pos < len(data) and data[pos] == 126:
-            raise Graph6Error("order beyond the three-byte size prefix is unsupported", pos)
-        n = 0
-        for _ in range(3):
-            n = (n << 6) | take("size header")
-    else:
-        n = first
-    need = (n * (n - 1) // 2 + 5) // 6
+    head, at = _g6_chars(s, 0, 1, "size header"), 1
+    if head == "~":  # the three-byte size prefix
+        if s[1:2] == "~":
+            raise Graph6Error("order beyond the three-byte size prefix is unsupported", 1)
+        head, at = _g6_chars(s, 1, 4, "size header"), 4
+    n = int(head.translate(_G6_BITS), 2)
+    end = at + (n * (n - 1) // 2 + 5) // 6
     rows = [0] * n
-    # bits come column by column: (0,1), (0,2), (1,2), (0,3), ...; u < v
-    v, u = 1, 0
-    for _ in range(need):
-        at = pos
-        value = take("edge data")
-        if value == 0:
-            u += 6
-            while u >= v:
-                u -= v
-                v += 1
-            continue
-        for k in range(5, -1, -1):
-            if v >= n:
-                if value & ((2 << k) - 1):
-                    raise Graph6Error("nonzero padding bits", at)
-                break
-            if (value >> k) & 1:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            u += 1
-            if u == v:
-                v += 1
-                u = 0
-    if pos != len(data):
-        raise Graph6Error("trailing garbage after graph6 data", pos)
+    bits, i = "", 0  # bits[i:] are read but not yet placed
+    for v in range(1, n):
+        while len(bits) - i < v:
+            hi = min(at + _G6_BLOCK // 6, end)
+            bits = bits[i:] + _g6_chars(s, at, hi, "edge data").translate(_G6_BITS)
+            i, at = 0, hi
+        column = int(bits[i:i + v][::-1], 2)
+        i += v
+        rows[v] = column
+        while column:
+            low = column & -column
+            rows[low.bit_length() - 1] |= 1 << v
+            column ^= low
+    if "1" in bits[i:]:
+        raise Graph6Error("nonzero padding bits", end - 1)
+    if len(s) > end:
+        raise Graph6Error("trailing garbage after graph6 data", end)
     return Graph(n, tuple(rows))
