@@ -11,6 +11,7 @@ invariant breach.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -18,14 +19,14 @@ import sys
 from .graphs import Graph6Error, InternalInvariantError, empty, from_graph6, star, to_graph6
 from .patterns import parse_pattern_list
 
-# theorem: required flags; with --patterns and --n it builds one pattern against E_n
+# theorem: (required flags, optional flags); with --patterns and --n it builds one pattern against E_n
 _THEOREMS = {
-    "cyclic": ("patterns",),
-    "design": ("patterns", "q"),
-    "h_vs_empty": ("patterns", "n"),
-    "star": ("m", "n"),
-    "complete_bipartite": ("m", "n"),
-    "delta_zero": ("patterns", "n"),
+    "cyclic": (("patterns",), ()),
+    "design": (("patterns", "q"), ()),
+    "h_vs_empty": (("patterns", "n"), ("r",)),
+    "star": (("m", "n"), ("k",)),
+    "complete_bipartite": (("m", "n"), ()),
+    "delta_zero": (("patterns", "n"), ()),
 }
 
 
@@ -68,16 +69,17 @@ def _chunks(o, nl: str, encoded: dict):
         yield text
 
 
-def _emit(payload: dict) -> None:
-    """Print what ``json.dump(payload, sys.stdout, sort_keys=True, indent=2)`` prints, and a newline.
+def _emit(payload: dict, out: str | None = None) -> None:
+    """Write ``json.dump(payload, fh, sort_keys=True, indent=2)`` and a newline to file ``out`` or stdout.
 
     With ``indent`` set, ``json`` encodes in pure Python and writes every
     token by itself; this writes a list of scalars in one piece, spelled by
     the C encoder, and encodes a list object that recurs once.  Dict keys
     must be str.
     """
-    sys.stdout.writelines(_chunks(payload, "\n", {}))
-    sys.stdout.write("\n")
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.writelines(_chunks(payload, "\n", {}))
+        fh.write("\n")
 
 
 def _read_host(path: str):
@@ -96,10 +98,13 @@ def _cmd_construct(args) -> int:
     from . import constructions, designs, verifier
 
     tag = args.theorem
-    flags = _THEOREMS[tag]
+    flags, optional = _THEOREMS[tag]
     # an empty --patterns counts as missing
     if any(getattr(args, flag) in (None, "") for flag in flags):
         raise ValueError(f"--theorem {tag} requires " + " and ".join(f"--{flag}" for flag in flags))
+    for flag in ("patterns", "m", "n", "k", "r", "q"):
+        if getattr(args, flag) is not None and flag not in flags + optional:
+            raise ValueError(f"--theorem {tag} does not take --{flag}")
     if "patterns" in flags:
         pats = parse_pattern_list(args.patterns)
         if "n" in flags and len(pats) != 1:
@@ -130,9 +135,7 @@ def _cmd_construct(args) -> int:
             fh.write(g6 + "\n")
     recipe_dict = recipe.to_dict()
     if args.recipe_out:
-        with open(args.recipe_out, "w") as fh:
-            json.dump(recipe_dict, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _emit(recipe_dict, args.recipe_out)
     _emit({"graph6": g6, "order": g.order, "recipe": recipe_dict, "verified": verified})
     if verified is False:
         print("verification failed: construction is not full for its patterns", file=sys.stderr)
@@ -196,9 +199,7 @@ def _cmd_design(args) -> int:
     payload = plane.to_dict()
     payload["valid"] = True
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _emit(payload, args.out)
     _emit(payload)
     return 0
 

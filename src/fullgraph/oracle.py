@@ -445,6 +445,8 @@ def f_exact(
     cached = _cache_lookup(cdir, key)
     if cached is not None:
         return cached
+    # opened for appending before the scan too, so a file that cannot be written costs no search
+    os.close(os.open(_cache_file(cdir), os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666))
 
     t0 = time.perf_counter()
     examined: dict[int, int] = {}

@@ -28,10 +28,8 @@ def _parse_term(term: str) -> Graph:
         return from_graph6(term[3:])
     m = _TERM.match(term)
     if not m:
-        raise ValueError(
-            f"cannot parse pattern term {term!r}: expected K<n>, E<n>, S<n>, P<n>, "
-            "C<n>, or g6:<graph6>"
-        )
+        kinds = "".join(f"{kind}<n>, " for kind in _FAMILIES)
+        raise ValueError(f"cannot parse pattern term {term!r}: expected {kinds}or g6:<graph6>")
     kind, num = m.group(1), int(m.group(2))
     least, build = _FAMILIES[kind]
     if num < least:

@@ -210,6 +210,25 @@ class TestConstruct:
             assert main(argv) == 0, argv
             capsys.readouterr()
 
+    def test_flags_a_theorem_does_not_take_exit_two(self, capsys):
+        # each theorem's required and optional flags, with values that build
+        taken = {
+            "cyclic": ["--patterns", "K3,E3"],
+            "design": ["--patterns", "K3,E3", "--q", "3"],
+            "h_vs_empty": ["--patterns", "P3", "--n", "9", "--r", "4"],
+            "star": ["--m", "3", "--n", "5", "--k", "2"],
+            "complete_bipartite": ["--m", "4", "--n", "2"],
+            "delta_zero": ["--patterns", "K2+K1", "--n", "3"],
+        }
+        values = {"--patterns": "K2,E2", "--m": "3", "--n": "3", "--k": "2", "--r": "2", "--q": "3"}
+        for theorem, argv in taken.items():
+            assert main(["construct", "--theorem", theorem, *argv]) == 0, theorem
+            capsys.readouterr()
+            for flag, value in values.items():
+                if flag not in argv:
+                    assert main(["construct", "--theorem", theorem, *argv, flag, value]) == 2
+                    assert capsys.readouterr() == ("", f"error: --theorem {theorem} does not take {flag}\n")
+
     # the five construct runs of the verify_large benchmark, the two other
     # theorems, and one --k and one --r override
     PINNED = [
@@ -428,6 +447,29 @@ class TestSearch:
         monkeypatch.setattr(oracle, "enumerate_graphs", scan)
         assert main(["search", "--patterns", "K3,E3", "--cache-dir", str(not_a_dir)]) == 2
         assert capsys.readouterr() == ("", f"error: [Errno 17] File exists: '{not_a_dir}'\n")
+
+    def test_unwritable_cache_file_fails_before_the_scan(self, tmp_path, monkeypatch, capsys):
+        assert main(["search", "--patterns", "K2,E2", "--cache-dir", str(tmp_path)]) == 0
+        hit = capsys.readouterr().out
+        real_open = oracle.os.open
+
+        def refuse_writes(path, flags, *args, **kwargs):
+            if flags & (oracle.os.O_WRONLY | oracle.os.O_RDWR):
+                raise PermissionError(13, "Permission denied", str(path))
+            return real_open(path, flags, *args, **kwargs)
+
+        def scan(order):
+            raise AssertionError(f"order {order} was scanned")
+
+        # file modes do not bind a superuser, so the refusal is simulated
+        monkeypatch.setattr(oracle.os, "open", refuse_writes)
+        monkeypatch.setattr(oracle, "enumerate_graphs", scan)
+        assert main(["search", "--patterns", "K3,E3", "--cache-dir", str(tmp_path)]) == 2
+        cache_file = tmp_path / "f_exact.jsonl"
+        assert capsys.readouterr() == ("", f"error: [Errno 13] Permission denied: '{cache_file}'\n")
+        # a cached answer needs no write
+        assert main(["search", "--patterns", "K2,E2", "--cache-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == hit
 
     def test_pattern_above_the_cap_names_the_start(self, tmp_path):
         # no hint was given: the scan would start at the largest pattern order
