@@ -80,3 +80,16 @@ def test_hosts_examined_counts_the_hosts_the_search_examined(tmp_path):
     assert summary["counters"]["oracle.hosts_examined"] == sum(record["examined"].values())
     assert summary["calls"]["oracle.prefilter"] > 0
     assert summary["calls"]["oracle.host_check"] > 0
+
+
+def test_verify_decodes_its_host_once_through_the_wrapped_decoder(tmp_path):
+    # one wrapped from_graph6 call, and one validated Graph more than the patterns
+    # take: the decoder neither goes round the wrapped name nor skips validation
+    host = tmp_path / "host.g6"
+    host.write_text("Dhc\n")
+    parse = traced_summary("from fullgraph import patterns\n"
+                           "patterns.parse_pattern_list('C5,E2')")
+    verify = traced_summary("from fullgraph import cli\n"
+                            f"assert cli.main(['verify', {str(host)!r}, '--patterns', 'C5,E2']) == 0")
+    assert verify["calls"]["graphs.from_graph6"] == 1
+    assert verify["calls"]["graphs.graph_new"] == parse["calls"]["graphs.graph_new"] + 1
