@@ -414,7 +414,7 @@ class TestGraph6:
         assert "padding" in str(exc.value)
 
     def test_decoder_streams_large_hosts(self):
-        # pairs are walked with two counters, never listed: 594,595 of them here
+        # 594,595 pair bits here, converted a block at a time, never as one bit string
         g, _ = h_vs_empty(cycle(5), 1000)
         s = to_graph6(g)
         tracemalloc.start()
