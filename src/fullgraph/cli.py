@@ -128,7 +128,7 @@ def _cmd_construct(args) -> int:
 
     verified = None
     if args.verify:
-        verified = verifier.is_full(g, pats).verdict
+        verified = verifier.is_full(g, pats, stop_at_gap=True).verdict
     g6 = to_graph6(g)
     if args.out:
         with open(args.out, "w") as fh:

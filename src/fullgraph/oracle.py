@@ -31,7 +31,9 @@ canonical search decides.
 Search: a vertex playing role q of a pattern H has deg_H(q) neighbours and
 n(H)-1-deg_H(q) non-neighbours in the copy, so a host with a vertex whose
 degree fits no role of some pattern cannot be full and is skipped before any
-copy search.
+copy search.  A host that holds a copy of every pattern is then checked
+vertex by vertex, and the check stops at the first vertex no copy covers:
+the search reads only the verdict, never the rest of the report.
 
 Cache: results are appended to ``f_exact.jsonl``, one JSON record a line,
 each spelled by ``json.dumps(..., sort_keys=True)`` with the default
@@ -41,6 +43,8 @@ backwards for that head at the start of a line; it parses each such line
 whole, checks its key, and returns the first well-formed record, the newest.
 Nothing is kept between lookups.  A line that spells a key otherwise (a
 repeated or escaped member name, unescaped non-ASCII) is no record of it.
+The search re-checks the witness of every record it is handed; one that
+fails counts as a miss, so the search runs and its record becomes the newest.
 """
 
 from __future__ import annotations
@@ -54,7 +58,8 @@ from itertools import combinations
 from pathlib import Path
 from typing import Iterator
 
-from .graphs import Graph, _FrozenRecord, _trusted_graph, check_patterns, relabeled, to_graph6
+from .graphs import (Graph, Graph6Error, _FrozenRecord, _trusted_graph, check_patterns, from_graph6,
+                     relabeled, to_graph6)
 from .verifier import extend_partial_map, has_induced_copy, is_full
 
 CANONICAL_ORDER_CAP = 16
@@ -391,6 +396,19 @@ def _cache_store(cache_dir: Path, key: str, result: SearchResult) -> None:
         os.close(fd)
 
 
+def _witness_holds(result: SearchResult, patterns: list[Graph], lo: int, hi: int) -> bool:
+    """Whether a cached result's witness is a full host of order f within lo..hi, or both are null."""
+    if result.f is None or result.witness is None:
+        return result.f is None and result.witness is None
+    if not isinstance(result.witness, str):
+        return False
+    try:
+        g = from_graph6(result.witness)
+    except Graph6Error:
+        return False
+    return g.order == result.f and lo <= g.order <= hi and is_full(g, patterns, stop_at_gap=True).verdict
+
+
 def _degree_window(pattern: Graph, n: int) -> int:
     """Bitmask of the degrees an order-n host vertex may have inside a copy of ``pattern``.
 
@@ -422,10 +440,16 @@ def f_exact(
     isomorphism-class representatives.  A host with a vertex outside some
     pattern's degree window (``_degree_window``) cannot be full and is
     skipped unsearched; so are hosts lacking even one copy of some pattern.
-    Skipped hosts still count in ``examined``.  The witness is the first
-    full host in enumeration order, and ``examined`` at f is its 1-based
-    position there.  Orders above 9 cannot be enumerated: a search asked to
-    go beyond returns a non-exhaustive result rather than a certificate.
+    Skipped hosts still count in ``examined``.  The others are checked by
+    ``is_full`` with ``stop_at_gap``, since only the verdict is read.  The
+    witness is the first full host in enumeration order, and ``examined`` at
+    f is its 1-based position there.  Orders above 9 cannot be enumerated: a
+    search asked to go beyond returns a non-exhaustive result rather than a
+    certificate.
+
+    A cached record is returned only when its witness decodes to a full host
+    of order f within the searched orders, or when f and the witness are
+    both null; any other record is a miss, and the search appends a fresh one.
     """
     check_patterns(patterns)
     hi = ENUMERATION_ORDER_CAP if upper_hint is None else upper_hint
@@ -443,7 +467,7 @@ def f_exact(
     # made before the scan, so a directory that cannot be made costs no search
     cdir.mkdir(parents=True, exist_ok=True)
     cached = _cache_lookup(cdir, key)
-    if cached is not None:
+    if cached is not None and _witness_holds(cached, patterns, lo, hi):
         return cached
     # opened for appending before the scan too, so a file that cannot be written costs no search
     os.close(os.open(_cache_file(cdir), os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666))
@@ -460,7 +484,7 @@ def f_exact(
         for count, g in enumerate(enumerate_graphs(order), 1):
             if (all(window >> r.bit_count() & 1 for r in g.rows)
                     and all(has_induced_copy(g, p) for p in patterns)
-                    and is_full(g, patterns).verdict):
+                    and is_full(g, patterns, stop_at_gap=True).verdict):
                 witness = to_graph6(g)
                 break
         examined[order] = count

@@ -157,13 +157,18 @@ class FullnessReport(_FrozenRecord):
         return {"verdict": self.verdict, "patterns": patterns}
 
 
-def is_full(host: Graph, patterns: list[Graph]) -> FullnessReport:
+def is_full(host: Graph, patterns: list[Graph], *, stop_at_gap: bool = False) -> FullnessReport:
     """Coverage report: for each pattern, which host vertices lie in an induced copy.
 
     A found copy covers every host vertex it uses, so later vertices inside
     it are never searched again for that pattern.  For an edgeless pattern
     the independent-set search prefers vertices not yet covered, where its
     choice is free, and the copy keeps them first.
+
+    With ``stop_at_gap`` the report ends at the first vertex no copy covers:
+    it holds the coverages up to that pattern's, whose witnesses are those
+    found before the vertex and whose one uncovered vertex is it.  Its
+    verdict is exact, and it is a prefix of the report made without the flag.
     """
     check_patterns(patterns)
     coverages = []
@@ -177,11 +182,15 @@ def is_full(host: Graph, patterns: list[Graph]) -> FullnessReport:
             role_map = find_induced_copy_containing(host, pattern, v, left)
             if role_map is None:
                 uncovered.append(v)
+                if stop_at_gap:
+                    break
             else:
                 for w in role_map.values():
                     witnesses.setdefault(w, role_map)
                     left &= ~(1 << w)
         coverages.append(PatternCoverage(to_graph6(pattern), witnesses, tuple(uncovered)))
+        if stop_at_gap and uncovered:
+            break
     return FullnessReport(host.order, tuple(coverages))
 
 

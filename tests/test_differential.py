@@ -69,3 +69,23 @@ def test_anchored_copy_matches_networkx(host, pat, data):
 def test_is_full_verdict_matches_networkx(host, pat):
     want = all(nx_has_copy(host, pat, v) for v in range(host.order))
     assert is_full(host, [pat]).verdict == want
+
+
+@SETTINGS
+@given(graphs(1, 10), graphs(1, 5), graphs(1, 5))
+def test_stop_at_gap_verdict_matches_networkx_and_ends_a_prefix(host, p1, p2):
+    want = all(nx_has_copy(host, p, v) for p in (p1, p2) for v in range(host.order))
+    full = is_full(host, [p1, p2])
+    cut = is_full(host, [p1, p2], stop_at_gap=True)
+    assert cut.verdict == full.verdict == want
+    if want:
+        assert cut == full
+        return
+    # the cut report stops in the first coverage with a gap, at its first uncovered vertex
+    *before, last = cut.coverages
+    assert tuple(before) == full.coverages[:len(before)]
+    assert not any(c.uncovered for c in before)
+    whole = full.coverages[len(before)]
+    assert last.pattern_g6 == whole.pattern_g6
+    assert last.uncovered == whole.uncovered[:1] != ()
+    assert last.witnesses.items() <= whole.witnesses.items()

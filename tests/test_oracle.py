@@ -574,6 +574,20 @@ class TestSearchCutsLarge:
             assert got == list(TestSearchCuts.reference_children(rows, 8)), rows
 
 
+# the six searches of the benchmark's search_cold workload -> digest of their answers
+PINNED_ANSWERS = {
+    "K3,E3": "29fea32b17be", "S4,E5": "805a674db6bd", "C4,E4": "293ba8ce4cf9",
+    "P4,E4": "ddbcef93a8fb", "C5,E3": "aefa77390b26", "K2+E1,E3": "0aa6d4e64f12",
+}
+
+
+def answer_digest(result):
+    """Digest of f, witness and examined counts per order: the result less its wall time."""
+    data = result.to_dict()
+    del data["wall_time"]
+    return hashlib.sha1(json.dumps(data, sort_keys=True).encode()).hexdigest()[:12]
+
+
 class TestFExact:
     def test_edge_nonedge_instance(self, tmp_path):
         r = f_exact([complete(2), empty(2)], cache_dir=tmp_path)
@@ -644,15 +658,28 @@ class TestFExact:
         r = f_exact([path(4)], cache_dir=tmp_path)
         assert r.f == 4
 
-    @pytest.mark.parametrize("instance,digest", [
-        ("K3,E3", "29fea32b17be"), ("S4,E5", "805a674db6bd"), ("C4,E4", "293ba8ce4cf9"),
-        ("P4,E4", "ddbcef93a8fb"), ("C5,E3", "aefa77390b26"), ("K2+E1,E3", "0aa6d4e64f12"),
-    ])
+    @pytest.mark.parametrize("instance,digest", PINNED_ANSWERS.items())
     def test_answers_are_pinned(self, tmp_path, instance, digest):
         # f, witness and examined counts per order; S4,E5 streams into order 9
-        data = f_exact(parse_pattern_list(instance), cache_dir=tmp_path).to_dict()
-        del data["wall_time"]
-        assert hashlib.sha1(json.dumps(data, sort_keys=True).encode()).hexdigest()[:12] == digest
+        assert answer_digest(f_exact(parse_pattern_list(instance), cache_dir=tmp_path)) == digest
+
+    def test_stop_at_gap_agrees_on_every_host_checked(self, tmp_path, monkeypatch):
+        # every host the six searches hand to the host check, with the verdict each gives
+        checked = []
+
+        def recording(host, patterns, **kwargs):
+            report = is_full(host, patterns, **kwargs)
+            checked.append((host, patterns, report.verdict))
+            return report
+
+        monkeypatch.setattr(oracle, "is_full", recording)
+        for instance, digest in PINNED_ANSWERS.items():
+            assert answer_digest(f_exact(parse_pattern_list(instance), cache_dir=tmp_path)) == digest
+        # each search stops at its first full host
+        assert sum(verdict for _, _, verdict in checked) == len(PINNED_ANSWERS)
+        assert len(checked) > 10 * len(PINNED_ANSWERS)
+        for host, patterns, verdict in checked:
+            assert verdict == is_full(host, patterns).verdict, to_graph6(host)
 
 
 class TestCache:
@@ -733,6 +760,41 @@ class TestCache:
         assert r.witness == "CQ" and r.examined == {2: 2, 3: 4, 4: 5}
         keys = [json.loads(line)["key"] for line in (tmp_path / "f_exact.jsonl").read_text().splitlines()]
         assert [json.loads(k) for k in keys] == [key, {**key, "version": 3}]
+
+    @pytest.mark.parametrize("change", [
+        {"witness": to_graph6(empty(4))},  # decodes, has order f, is not full
+        {"witness": "C"},                  # does not decode
+        {"witness": 7},
+        {"witness": to_graph6(cycle(5))},  # full, but not of order f
+        {"f": None},
+        {"witness": None},
+        {"f": 0, "witness": "?"},          # the order-0 host is vacuously full
+    ])
+    def test_a_hit_whose_witness_fails_is_a_miss(self, tmp_path, change):
+        good = f_exact([complete(2), empty(2)], cache_dir=tmp_path)
+        cache_file = tmp_path / "f_exact.jsonl"
+        key = json.loads(cache_file.read_text())["key"]
+        cache_file.unlink()
+        _cache_store(tmp_path, key, SearchResult.from_dict({**good.to_dict(), **change}))
+        assert _cache_lookup(tmp_path, key).to_dict() == {**good.to_dict(), **change}
+        r = f_exact([complete(2), empty(2)], cache_dir=tmp_path)
+        assert answer_digest(r) == answer_digest(good)
+        assert r.witness == "CQ"
+        lines = cache_file.read_text().splitlines()
+        assert len(lines) == 2
+        assert json.loads(lines[1])["result"] == r.to_dict()
+        # the fresh record is the newest, so the next call hits it and writes nothing
+        data = cache_file.read_bytes()
+        assert f_exact([complete(2), empty(2)], cache_dir=tmp_path) == r
+        assert cache_file.read_bytes() == data
+
+    def test_a_hit_with_no_answer_is_kept(self, tmp_path):
+        # f and witness both null: nothing to re-check, so the record is answered
+        r = f_exact([complete(4), empty(4)], upper_hint=6, cache_dir=tmp_path)
+        assert r.f is None and r.witness is None
+        data = (tmp_path / "f_exact.jsonl").read_bytes()
+        assert f_exact([complete(4), empty(4)], upper_hint=6, cache_dir=tmp_path) == r
+        assert (tmp_path / "f_exact.jsonl").read_bytes() == data
 
     def test_resolution_order(self, tmp_path, monkeypatch):
         explicit = tmp_path / "explicit"

@@ -79,7 +79,21 @@ def test_hosts_examined_counts_the_hosts_the_search_examined(tmp_path):
     record = json.loads((tmp_path / "f_exact.jsonl").read_text())["result"]
     assert summary["counters"]["oracle.hosts_examined"] == sum(record["examined"].values())
     assert summary["calls"]["oracle.prefilter"] > 0
-    assert summary["calls"]["oracle.host_check"] > 0
+    # every host check goes through the name the tracer wraps in oracle
+    assert summary["calls"]["oracle.host_check"] == summary["calls"]["verifier.is_full"] > 0
+
+
+def test_a_cache_hit_rechecks_its_witness_through_the_wrapped_names(tmp_path):
+    # the hit decodes the stored witness and checks it once, through the same names as the search
+    search = ("from fullgraph import oracle, patterns\n"
+              "oracle.f_exact(patterns.parse_pattern_list('C5,E3'), cache_dir={!r})\n")
+    miss = traced_summary(search.format(str(tmp_path / "miss")))
+    hit = traced_summary(search.format(str(tmp_path / "hit")) * 2)
+    assert miss["counters"]["oracle.cache_hits"] == 0
+    assert hit["counters"]["oracle.cache_hits"] == 1
+    assert hit["calls"]["oracle.host_check"] == miss["calls"]["oracle.host_check"] + 1
+    assert hit["calls"]["graphs.from_graph6"] == miss["calls"]["graphs.from_graph6"] + 1
+    assert hit["calls"]["oracle.cache_store"] == miss["calls"]["oracle.cache_store"] == 1
 
 
 def test_verify_decodes_its_host_once_through_the_wrapped_decoder(tmp_path):
