@@ -677,7 +677,6 @@ class TestFExact:
             assert answer_digest(f_exact(parse_pattern_list(instance), cache_dir=tmp_path)) == digest
         # each search stops at its first full host
         assert sum(verdict for _, _, verdict in checked) == len(PINNED_ANSWERS)
-        assert len(checked) > 10 * len(PINNED_ANSWERS)
         for host, patterns, verdict in checked:
             assert verdict == is_full(host, patterns).verdict, to_graph6(host)
 
@@ -775,11 +774,11 @@ class TestCache:
         cache_file = tmp_path / "f_exact.jsonl"
         key = json.loads(cache_file.read_text())["key"]
         cache_file.unlink()
-        _cache_store(tmp_path, key, SearchResult.from_dict({**good.to_dict(), **change}))
-        assert _cache_lookup(tmp_path, key).to_dict() == {**good.to_dict(), **change}
+        stored = {**good.to_dict(), **change}
+        _cache_store(tmp_path, key, SearchResult.from_dict(stored))
+        assert _cache_lookup(tmp_path, key).to_dict() == stored
         r = f_exact([complete(2), empty(2)], cache_dir=tmp_path)
         assert answer_digest(r) == answer_digest(good)
-        assert r.witness == "CQ"
         lines = cache_file.read_text().splitlines()
         assert len(lines) == 2
         assert json.loads(lines[1])["result"] == r.to_dict()
