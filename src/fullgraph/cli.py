@@ -159,6 +159,8 @@ def _cmd_bound(args) -> int:
     ways = [w for w in (args.egh, args.star, args.patterns) if w]
     if len(ways) != 1:
         raise ValueError("choose exactly one of --egh, --star, --patterns")
+    if args.n is not None and not args.patterns:
+        raise ValueError("--n needs --patterns")
     if args.egh:
         m, n = args.egh
         _emit({"formula": "egh", "m": m, "n": n, "value": bounds.egh_formula(m, n)})

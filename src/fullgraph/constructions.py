@@ -251,15 +251,12 @@ def star_full(m: int, n: int, k: int | None = None) -> tuple[Graph, Construction
         raise ValueError(f"infeasible k={k}: requires 1 <= k <= n-1 = {n - 1}")
     r = 1 + max(bounds.ceil_div(n - 1, k), 2 * m - 3 - 2 * k)
     c_left = (r + 1) // 2
-    c_right = r // 2
     y_size = n - 1 + k
 
+    # r >= 2 and r * k >= y_size give k <= y_left <= c_left * k, k <= y_right <= (r - c_left) * k
     y_left = max(k, bounds.ceil_div(y_size * c_left, r))
     y_left = min(y_left, c_left * k, y_size - k)
     y_right = y_size - y_left
-    if not (k <= y_left <= c_left * k and k <= y_right <= c_right * k):
-        raise ValueError(f"infeasible k={k}: cannot split {y_size} independent vertices "
-                         f"over sides of {c_left} and {c_right} centers")
 
     left = list(range(c_left))
     right = list(range(c_left, r))

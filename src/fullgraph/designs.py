@@ -1,14 +1,15 @@
 """Finite fields and resolvable pairwise balanced designs (affine planes).
 
-Fields are realized as explicit addition/multiplication tables: prime
-orders use modular arithmetic, supported prime powers use a fixed
-irreducible polynomial over the prime subfield.  Affine planes supply
-resolvable designs whose parallel classes partition the point set and
-whose blocks cover every point pair exactly once.
+Fields are realized as explicit addition/multiplication tables over
+polynomials modulo a fixed monic irreducible over the prime subfield; a
+prime order is the degree-1 case.  Affine planes supply resolvable designs
+whose parallel classes partition the point set and whose blocks cover every
+point pair exactly once.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 
 from .graphs import _FrozenRecord
@@ -50,62 +51,41 @@ class FieldTable(_FrozenRecord):
 
 
 def supported_field_orders_note() -> str:
-    return "q must be prime or one of {4, 8, 9, 16, 25, 27}"
+    return "q must be prime or one of {" + ", ".join(map(str, sorted(_IRREDUCIBLE))) + "}"
 
 
 def is_supported_field_order(q: int) -> bool:
     return _is_prime(q) or q in _IRREDUCIBLE
 
 
-def _digits(e: int, p: int, width: int) -> list[int]:
-    out = []
-    for _ in range(width):
-        out.append(e % p)
-        e //= p
-    return out
-
-
-def _value(digits: list[int], p: int) -> int:
-    v = 0
-    for c in reversed(digits):
-        v = v * p + c
-    return v
-
-
-def _poly_mul_mod(a: list[int], b: list[int], modpoly: tuple[int, ...], p: int) -> list[int]:
-    deg = len(modpoly) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    # reduce from the top; modpoly is monic
-    for k in range(len(prod) - 1, deg - 1, -1):
-        c = prod[k]
-        if c:
-            prod[k] = 0
-            for j in range(deg):
-                prod[k - deg + j] = (prod[k - deg + j] - c * modpoly[j]) % p
-    return prod[:deg]
-
-
 def field(q: int) -> FieldTable:
-    """Addition and multiplication tables for GF(q)."""
-    if _is_prime(q):
-        add = tuple(tuple((a + b) % q for b in range(q)) for a in range(q))
-        mul = tuple(tuple((a * b) % q for b in range(q)) for a in range(q))
-        return FieldTable(q, add, mul)
-    if q not in _IRREDUCIBLE:
+    """Addition and multiplication tables for GF(q).
+
+    GF(p^d) is GF(p)[x] modulo a monic irreducible of degree d, and a prime q
+    is the case d = 1, modulo x.  Element e is the polynomial whose
+    coefficients, low to high, are the d base-p digits of e.
+    """
+    if not is_supported_field_order(q):
         raise UnsupportedOrderError(f"no field of order {q}: {supported_field_orders_note()}")
-    p, modpoly = _IRREDUCIBLE[q]
-    deg = len(modpoly) - 1
-    elems = [_digits(e, p, deg) for e in range(q)]
-    add_rows = []
-    mul_rows = []
-    for a in elems:
-        add_rows.append(tuple(_value([(x + y) % p for x, y in zip(a, b)], p) for b in elems))
-        mul_rows.append(tuple(_value(_poly_mul_mod(a, b, modpoly, p), p) for b in elems))
-    return FieldTable(q, tuple(add_rows), tuple(mul_rows))
+    p, modulus = _IRREDUCIBLE.get(q, (q, (0, 1)))
+    deg = len(modulus) - 1
+    elems = [tuple(e // p ** i % p for i in range(deg)) for e in range(q)]
+    index = {digits: e for e, digits in enumerate(elems)}
+
+    def times(a, b):
+        prod = [0] * (2 * deg - 1)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+        # reduce from the top: x^deg is minus the rest of the monic modulus
+        for k in range(2 * deg - 2, deg - 1, -1):
+            for j in range(deg):
+                prod[k - deg + j] -= prod[k] * modulus[j]
+        return tuple(c % p for c in prod[:deg])
+
+    add = tuple(tuple(index[tuple((x + y) % p for x, y in zip(a, b))] for b in elems) for a in elems)
+    mul = tuple(tuple(index[times(a, b)] for b in elems) for a in elems)
+    return FieldTable(q, add, mul)
 
 
 class ResolvableDesign(_FrozenRecord):
@@ -161,15 +141,11 @@ def validate_design(d: ResolvableDesign) -> list[str]:
         missing = points - seen
         if missing:
             problems.append(f"class {ci}: point(s) {sorted(missing)} not covered")
-    counts: dict[frozenset, int] = {}
-    for cls in d.classes:
-        for block in cls:
-            for u, v in combinations(sorted(set(block)), 2):
-                counts[frozenset((u, v))] = counts.get(frozenset((u, v)), 0) + 1
-    for u, v in combinations(range(d.point_count), 2):
-        c = counts.get(frozenset((u, v)), 0)
-        if c != 1:
-            problems.append(f"pair ({u}, {v}) covered {c} times")
+    counts = Counter(pair for cls in d.classes for block in cls
+                     for pair in combinations(sorted(set(block)), 2))
+    for pair in combinations(range(d.point_count), 2):
+        if counts[pair] != 1:
+            problems.append(f"pair {pair} covered {counts[pair]} times")
     if d.block_size > 1:
         expected, rem = divmod(d.point_count - 1, d.block_size - 1)
         if rem or len(d.classes) != expected:

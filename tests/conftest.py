@@ -5,12 +5,6 @@ import pytest
 RUN_SLOW = os.environ.get("FULLGRAPH_RUN_SLOW", "") not in ("", "0")
 
 
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers", "slow: multi-minute searches; run with FULLGRAPH_RUN_SLOW=1"
-    )
-
-
 def pytest_collection_modifyitems(config, items):
     if RUN_SLOW:
         return

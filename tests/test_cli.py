@@ -356,6 +356,11 @@ class TestBound:
         assert out["best_lower"] == 9
         assert out["best_upper"] == 9
 
+    @pytest.mark.parametrize("formula", [["--egh", "3", "3"], ["--star", "3", "5"]])
+    def test_n_needs_patterns(self, formula, capsys):
+        assert main(["bound", *formula, "--n", "7"]) == 2
+        assert capsys.readouterr() == ("", "error: --n needs --patterns\n")
+
     def test_rejects_egh_below_two(self):
         p = run("bound", "--egh", "1", "5")
         assert p.returncode == 2

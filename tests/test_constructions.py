@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -268,6 +269,16 @@ class TestStarFull:
                     except ValueError:
                         continue
                     assert is_full(g, [star(m), empty(n)]).verdict, (m, n, k)
+
+    def test_every_k_builds_on_a_grid(self):
+        # every feasible k splits the independent set over both sides of the core
+        grid = [(m, n, k) for m in range(2, 9) for n in range(m, 31) for k in range(1, n)]
+        for m, n, k in grid:
+            g, recipe = star_full(m, n, k=k)
+            assert g.order == recipe.claimed_order == bounds.star_order(m, n, k), (m, n, k)
+        for m, n, k in random.Random(24).sample(grid, 100):
+            g, _ = star_full(m, n, k=k)
+            assert is_full(g, [star(m), empty(n)]).verdict, (m, n, k)
 
     def test_graph_is_bipartite_with_no_isolated_vertex(self):
         g, recipe = star_full(4, 7)
