@@ -264,10 +264,7 @@ class TestStarFull:
         for m in (3, 4, 5):
             for n in (m, m + 2, m + 5):
                 for k in range(1, n):
-                    try:
-                        g, recipe = star_full(m, n, k=k)
-                    except ValueError:
-                        continue
+                    g, recipe = star_full(m, n, k=k)
                     assert is_full(g, [star(m), empty(n)]).verdict, (m, n, k)
 
     def test_every_k_builds_on_a_grid(self):
@@ -276,7 +273,7 @@ class TestStarFull:
         for m, n, k in grid:
             g, recipe = star_full(m, n, k=k)
             assert g.order == recipe.claimed_order == bounds.star_order(m, n, k), (m, n, k)
-        for m, n, k in random.Random(24).sample(grid, 100):
+        for m, n, k in random.Random(1).sample(grid, 100):
             g, _ = star_full(m, n, k=k)
             assert is_full(g, [star(m), empty(n)]).verdict, (m, n, k)
 
