@@ -465,6 +465,8 @@ def from_graph6(text: str) -> Graph:
             raise Graph6Error("order beyond the three-byte size prefix is unsupported", 1)
         head, at = _g6_chars(s, 1, 4, "size header"), 4
     n = int(head.translate(_G6_BITS), 2)
+    if at == 4 and n < 63:  # the one-byte header names these orders, so one graph has one string
+        raise Graph6Error("order below 63 in the three-byte size prefix", 1)
     end = at + (n * (n - 1) // 2 + 5) // 6
     rows = [0] * n
     bits, i = "", 0  # bits[i:] are read but not yet placed

@@ -24,9 +24,11 @@ are taken through two half-width subset image tables per generator.  The
 second refinement round, computed on the largest-degree vertices alone,
 settles most children: the new vertex is dropped when another of them has
 greater neighbour counts into the lower degree classes, and kept unsearched
-when it alone has the greatest.  Only a tie is refined in full, and kept
-unsearched when its last cell is the new vertex; otherwise the child's
-canonical search decides.
+when it alone has the greatest.  Only a tie is refined in full, from its
+degree classes, and kept unsearched when every vertex of its last cell is the
+new vertex, its twin, or its image under an automorphism found by one
+anchored copy search: the cell then lies in the new vertex's orbit.  Only
+when that proof fails does the child's canonical search decide.
 
 Search: a vertex playing role q of a pattern H has deg_H(q) neighbours and
 n(H)-1-deg_H(q) non-neighbours in the copy, so a host with a vertex whose
@@ -235,7 +237,13 @@ def _children(rows: tuple[int, ...], z: int) -> Iterator[bytes]:
     class, in ascending degree order.  Later rounds split cells in place, so z
     is rejected unrefined when another vertex of T has a greater key, and
     accepted when z is T or has the greatest key alone.  Only a tie, or a
-    regular child, is refined in full.
+    regular child, is refined in full, starting from its degree classes with
+    every class but the last as splitters, which is what the first round
+    makes of the unit partition.  A tie with z in the last cell L is then
+    accepted unsearched when each u of L is z's twin or z's image under an
+    automorphism ``extend_partial_map`` finds with z pinned to u: L lies in
+    z's orbit and holds the canonically last vertex.  At the first u that
+    fails, the child's canonical search decides.
     """
     gens: list[tuple[int, ...]] = []
     _canonical_search(_trusted_graph(z, rows), gens)
@@ -264,12 +272,18 @@ def _children(rows: tuple[int, ...], z: int) -> Iterator[bytes]:
                 continue
         child_rows = tuple(r | ((subset >> v) & 1) << z for v, r in enumerate(rows)) + (subset,)
         if tied and rival == mine:  # a tie, or no lower degree class
-            root = _refine(child_rows, [list(range(z + 1))], [list(range(z + 1))])
+            # the degree classes are the first round's refinement of the unit partition
+            classes = [[v for v in range(z) if m >> v & 1] for m in masks]
+            classes.append([v for v in range(z) if tied >> v & 1] + [z])
+            root = _refine(child_rows, classes, classes[:-1])
             if z not in root[-1]:
                 continue
-            if len(root[-1]) > 1:
+            child = _trusted_graph(z + 1, child_rows)
+            # the last cell holds the canonically last vertex, so it lying in z's orbit keeps z
+            if not all(not (child_rows[u] ^ subset) & ~(1 << u | 1 << z)
+                       or extend_partial_map(child, child, {z: u}) is not None for u in root[-1] if u != z):
                 child_gens: list[tuple[int, ...]] = []
-                lab, _ = _canonical_search(_trusted_graph(z + 1, child_rows), child_gens, root)
+                lab, _ = _canonical_search(child, child_gens, root)
                 if z not in _orbit(lab[-1], child_gens):
                     continue
         yield _ROWS[z + 1].pack(*child_rows)

@@ -481,7 +481,9 @@ class TestGraph6Corpus:
         ("~~", "order beyond the three-byte size prefix is unsupported", 1),
         ("~??", "truncated graph6 string: missing size header", 3),
         ("~?\x1f?", "byte out of graph6 range 63..126 in size header", 2),
-        ("~??A", "truncated graph6 string: missing edge data", 4),
+        ("~??A", "order below 63 in the three-byte size prefix", 1),
+        ("~??A_", "order below 63 in the three-byte size prefix", 1),  # K2, named by "A_"
+        ("~??}", "order below 63 in the three-byte size prefix", 1),  # order 62
         ("~?A?", "truncated graph6 string: missing edge data", 4),
         ("A", "truncated graph6 string: missing edge data", 1),
         ("A\x7f", "byte out of graph6 range 63..126 in edge data", 1),
@@ -502,7 +504,6 @@ class TestGraph6Corpus:
         ("?", 0, ()),
         ("@", 1, (0,)),
         ("A_\n\n", 2, (2, 1)),
-        ("~??A_", 2, (2, 1)),  # the long size header for a small order
     ])
     def test_hand_made_graphs(self, text, order, rows):
         assert from_graph6(text) == Graph(order, rows)

@@ -385,10 +385,11 @@ oracle._children = lambda rows, z: extended.append(z) or children(rows, z)
 
 
 class TestWorkCounts:
-    """Automorphism tests and refinements that enumerating order 8 makes.
+    """Automorphism tests, refinements and canonical searches that enumerating order 8 makes.
 
     Counted in a child interpreter, so the level store starts empty, through
-    the names ``oracle`` calls them by.
+    the names ``oracle`` calls them by.  A canonical search is counted by the
+    order of its graph, as a parent's (no root given) or a child's labeling.
     """
 
     CODE = """
@@ -403,8 +404,15 @@ def counted(name, f):
     return wrapper
 for name in counts:
     setattr(oracle, name, counted(name, getattr(oracle, name)))
+searched = {{}}
+search = oracle._canonical_search
+def counted_search(g, gens=None, root=None):
+    key = f"{{'parent' if root is None else 'child'}} {{g.order}}"
+    searched[key] = searched.get(key, 0) + 1
+    return search(g, gens, root)
+oracle._canonical_search = counted_search
 for _ in oracle.enumerate_graphs(8): pass
-print(json.dumps(counts))
+print(json.dumps(dict(counts, searched=searched)))
 """
 
     def test_order_eight_counts_are_pinned(self):
@@ -412,8 +420,13 @@ print(json.dumps(counts))
         p = subprocess.run([sys.executable, "-c", self.CODE.format(src=src)],
                            capture_output=True, text=True, timeout=120)
         assert p.returncode == 0, p.stderr
-        # a twin candidate is pruned with no copy search, so most prunings make no test
-        assert json.loads(p.stdout) == {"extend_partial_map": 3639, "_refine": 18360}
+        # a twin candidate is pruned with no copy search, so most prunings make no
+        # test; a tie child is labeled only when its orbit proof fails
+        assert json.loads(p.stdout) == {
+            "extend_partial_map": 2934, "_refine": 9036,
+            "searched": {"parent 1": 1, "parent 2": 2, "parent 3": 4, "parent 4": 11, "parent 5": 34,
+                         "parent 6": 156, "parent 7": 1044, "child 7": 4, "child 8": 45},
+        }
 
 
 @pytest.mark.slow
@@ -541,8 +554,7 @@ class TestSearchCuts:
         refine, refined = _refine, set()
 
         def recording_refine(rows, partition, splitters):
-            if len(partition) == 1:
-                refined.add(rows)
+            refined.add(rows)
             return refine(rows, partition, splitters)
 
         monkeypatch.setattr(oracle, "_refine", recording_refine)
@@ -562,6 +574,41 @@ class TestSearchCuts:
                     assert z not in last, child_rows
                     dropped += 1
         assert dropped > 5000 and kept_by_key > 3000
+
+    def test_orbit_proof_keeps_only_children_whose_new_vertex_is_canonically_last(self, monkeypatch):
+        # a tie child whose last root cell holds z and more is kept unlabeled when
+        # an automorphism maps z to each other vertex of the cell; the cell holds
+        # the canonically last vertex, so z is then in its orbit.  A child with no
+        # such proof is labeled, and kept or dropped by its labeling
+        search, labeled = _canonical_search, set()
+
+        def recording_search(g, gens=None, root=None):
+            if root is not None:
+                labeled.add(g.rows)
+            return search(g, gens, root)
+
+        monkeypatch.setattr(oracle, "_canonical_search", recording_search)
+        proved, fallback = 0, {True: 0, False: 0}
+        for z in range(1, 8):
+            for parent in _level(z):
+                labeled.clear()
+                kept = {unpack_rows(child, z + 1) for child in _children(parent, z)}
+                for child_rows in self.candidate_children(parent, z):
+                    g = Graph(z + 1, child_rows)
+                    last = self.root(g)[-1]
+                    if z not in last or len(last) == 1:
+                        continue
+                    gens = []
+                    lab, _ = search(g, gens)
+                    canonical = z in _orbit(lab[-1], gens)
+                    assert (child_rows in kept) == canonical, child_rows
+                    if all(extend_partial_map(g, g, {z: u}) is not None for u in last if u != z):
+                        proved += 1
+                        assert canonical and child_rows not in labeled, child_rows
+                    else:
+                        assert child_rows in labeled, child_rows
+                        fallback[canonical] += 1
+        assert proved > 2000 and fallback == {True: 22, False: 27}
 
 
 @pytest.mark.slow
