@@ -273,13 +273,12 @@ def _children(rows: tuple[int, ...], z: int) -> Iterator[bytes]:
         child_rows = tuple(r | ((subset >> v) & 1) << z for v, r in enumerate(rows)) + (subset,)
         if tied and rival == mine:  # a tie, or no lower degree class
             # the degree classes are the first round's refinement of the unit partition
-            classes = [[v for v in range(z) if m >> v & 1] for m in masks]
-            classes.append([v for v in range(z) if tied >> v & 1] + [z])
+            classes = [[v for v in range(z + 1) if m >> v & 1] for m in masks + [tied | 1 << z]]
             root = _refine(child_rows, classes, classes[:-1])
             if z not in root[-1]:
                 continue
             child = _trusted_graph(z + 1, child_rows)
-            # the last cell holds the canonically last vertex, so it lying in z's orbit keeps z
+            # kept unlabeled when the last cell, which holds the canonically last vertex, lies in z's orbit
             if not all(not (child_rows[u] ^ subset) & ~(1 << u | 1 << z)
                        or extend_partial_map(child, child, {z: u}) is not None for u in root[-1] if u != z):
                 child_gens: list[tuple[int, ...]] = []
