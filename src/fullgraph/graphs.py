@@ -7,6 +7,7 @@ operations return new graphs; nothing mutates in place.
 
 from __future__ import annotations
 
+from binascii import b2a_base64
 from typing import Iterable, Iterator
 
 
@@ -402,9 +403,12 @@ def star_center(g: Graph) -> int | None:
 _G6_MAX_ORDER = 258047  # largest order expressible with the three-byte size prefix
 
 
-# each six-bit group, as a string of 0s and 1s, -> its graph6 character, and back
-_G6_CHAR = {format(x, "06b"): chr(63 + x) for x in range(64)}
-_G6_BITS = {ord(c): bits for bits, c in _G6_CHAR.items()}  # a str.translate table
+# each graph6 character -> its six-bit group as a string of 0s and 1s (a
+# str.translate table), and each base64 character -> the graph6 character of
+# the same group (a bytes.translate table)
+_G6_BITS = {63 + x: format(x, "06b") for x in range(64)}
+_G6_FROM_B64 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127)))
 _G6_BLOCK = 6 << 10  # bits converted at a time, so no whole bit string is built
 
 
@@ -412,9 +416,10 @@ def to_graph6(g: Graph) -> str:
     """graph6 of g: the upper triangle column by column, six bits a character.
 
     Column v's bits (u = 0..v-1) are the low v bits of row v, reversed (read
-    below a sentinel bit v, so that leading zeros stay); they are converted a
-    block at a time through a table of the 64 groups.  ``from_graph6`` is
-    the mirror.
+    below a sentinel bit v, so that leading zeros stay).  A block at a time,
+    they are padded to whole bytes of a whole number of base64 characters,
+    base64-encoded, and each base64 character is mapped to the graph6
+    character of its six bits.  ``from_graph6`` is the mirror.
     """
     n = g.order
     if n > _G6_MAX_ORDER:
@@ -432,7 +437,9 @@ def to_graph6(g: Graph) -> str:
             if v == n - 1:
                 bits += "0" * (-len(bits) % 6)
             cut = len(bits) - len(bits) % 6
-            out.append("".join([_G6_CHAR[bits[i:i + 6]] for i in range(0, cut, 6)]))
+            pad = -cut % 24  # base64 turns 24 bits into 4 characters
+            data = (int(bits[:cut], 2) << pad).to_bytes((cut + pad) >> 3, "big")
+            out.append(b2a_base64(data, newline=False)[:cut // 6].translate(_G6_FROM_B64).decode())
             bits = bits[cut:]
     return "".join(out)
 
@@ -451,8 +458,8 @@ def _g6_chars(s: str, lo: int, hi: int, why: str) -> str:
 def from_graph6(text: str) -> Graph:
     """The graph of a graph6 string, trailing newlines allowed: the mirror of ``to_graph6``.
 
-    Characters become six-bit groups through the same table, a block at a
-    time, and column v's v bits, reversed, are the low v bits of row v.
+    Characters become six-bit groups through a table, a block at a time,
+    and column v's v bits, reversed, are the low v bits of row v.
     Offsets in errors count UTF-8 bytes; they equal character indices,
     since every character before the first error is ASCII.
     """

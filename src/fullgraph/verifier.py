@@ -6,6 +6,11 @@ candidates are one bitmask, the AND of the host rows of the images of its
 placed pattern neighbours and of the complemented rows of the images of its
 placed non-neighbours, less the used vertices: copies are induced, so edges
 and non-edges both match.  Edgeless patterns use ``independent_set_with``.
+
+A verdict-only check (``is_full`` with ``stop_at_gap``) searches once per
+twin class at most: two vertices with equal rows (false twins) or equal
+closed rows (true twins) swap by an automorphism of the host, so a copy
+through one of them gives a copy through the other.
 """
 
 from __future__ import annotations
@@ -166,18 +171,23 @@ def is_full(host: Graph, patterns: list[Graph], *, stop_at_gap: bool = False) ->
     choice is free, and the copy keeps them first.
 
     With ``stop_at_gap`` the report ends at the first vertex no copy covers:
-    it holds the coverages up to that pattern's, whose witnesses are those
-    found before the vertex and whose one uncovered vertex is it.  Its
-    verdict is exact, and it is a prefix of the report made without the flag.
+    it holds the coverages up to that pattern's, whose one uncovered vertex
+    is it.  A vertex whose row or closed row equals that of a vertex in a
+    found copy is a twin of that vertex, covered by the copy with the two
+    swapped, and is skipped unsearched and left without a witness.  The
+    verdict and the first uncovered vertex are exact, but the report is not
+    a prefix of the one made without the flag: its witnesses can differ.
     """
     check_patterns(patterns)
+    rows = host.rows
     coverages = []
     for pattern in patterns:
         witnesses: dict[int, dict[int, int]] = {}
         uncovered = []
         left = (1 << host.order) - 1  # host vertices no copy covers yet
+        twins = set()  # rows and closed rows of the vertices of found copies
         for v in range(host.order):
-            if v in witnesses:
+            if v in witnesses or stop_at_gap and (rows[v] in twins or rows[v] | 1 << v in twins):
                 continue
             role_map = find_induced_copy_containing(host, pattern, v, left)
             if role_map is None:
@@ -188,6 +198,8 @@ def is_full(host: Graph, patterns: list[Graph], *, stop_at_gap: bool = False) ->
                 for w in role_map.values():
                     witnesses.setdefault(w, role_map)
                     left &= ~(1 << w)
+                    if stop_at_gap:
+                        twins.update((rows[w], rows[w] | 1 << w))
         coverages.append(PatternCoverage(to_graph6(pattern), witnesses, tuple(uncovered)))
         if stop_at_gap and uncovered:
             break

@@ -71,21 +71,66 @@ def test_is_full_verdict_matches_networkx(host, pat):
     assert is_full(host, [pat]).verdict == want
 
 
+def twins(host, u, w):
+    """Whether u and w have the same neighbours apart from each other."""
+    return all(host.adjacent(u, x) == host.adjacent(w, x) for x in range(host.order) if x not in (u, w))
+
+
+def check_cut_report(host, patterns, cut, full):
+    """A stop-at-gap report against the full one: same gap, every vertex before it covered.
+
+    Its witnesses are valid copies through their vertices, and a vertex before
+    the gap without one has a twin in a witness copy of its coverage.
+    """
+    gaps = [i for i, c in enumerate(full.coverages) if c.uncovered]
+    assert len(cut.coverages) == (gaps[0] + 1 if gaps else len(patterns))
+    for i, (c, whole, pattern) in enumerate(zip(cut.coverages, full.coverages, patterns)):
+        assert c.pattern_g6 == whole.pattern_g6
+        assert c.uncovered == whole.uncovered[:1]
+        images = set()
+        for v, role_map in c.witnesses.items():
+            assert v in role_map.values()
+            assert recheck_witness(host, pattern, role_map)
+            images.update(role_map.values())
+        gap = c.uncovered[0] if c.uncovered else host.order
+        for v in range(gap):
+            assert v in c.witnesses or any(twins(host, v, w) for w in images), (i, v)
+
+
+@st.composite
+def twin_blowups(draw):
+    """A small graph with each vertex made into 2-5 false or true twins, relabeled at random."""
+    base = draw(graphs(1, 4))
+    classes, n = [], 0
+    for _ in range(base.order):
+        size = draw(st.integers(2, 5))
+        classes.append((range(n, n + size), draw(st.booleans())))
+        n += size
+    edges = []
+    for a, (ca, clique) in enumerate(classes):
+        edges += [(u, w) for u in ca for w in ca if u < w and clique]
+        for b in range(a):
+            if base.adjacent(a, b):
+                edges += [(u, w) for u in ca for w in classes[b][0]]
+    perm = draw(st.permutations(range(n)))
+    return Graph.from_edges(n, [(perm[u], perm[w]) for u, w in edges])
+
+
 @SETTINGS
 @given(graphs(1, 10), graphs(1, 5), graphs(1, 5))
-def test_stop_at_gap_verdict_matches_networkx_and_ends_a_prefix(host, p1, p2):
+def test_stop_at_gap_verdict_matches_networkx_and_stops_at_the_first_gap(host, p1, p2):
     want = all(nx_has_copy(host, p, v) for p in (p1, p2) for v in range(host.order))
     full = is_full(host, [p1, p2])
     cut = is_full(host, [p1, p2], stop_at_gap=True)
     assert cut.verdict == full.verdict == want
-    if want:
-        assert cut == full
-        return
-    # the cut report stops in the first coverage with a gap, at its first uncovered vertex
-    *before, last = cut.coverages
-    assert tuple(before) == full.coverages[:len(before)]
-    assert not any(c.uncovered for c in before)
-    whole = full.coverages[len(before)]
-    assert last.pattern_g6 == whole.pattern_g6
-    assert last.uncovered == whole.uncovered[:1] != ()
-    assert last.witnesses.items() <= whole.witnesses.items()
+    check_cut_report(host, [p1, p2], cut, full)
+
+
+@SETTINGS
+@given(twin_blowups(), graphs(2, 5))
+def test_stop_at_gap_on_twin_classes_matches_networkx(host, pat):
+    want = all(nx_has_copy(host, pat, v) for v in range(host.order))
+    full = is_full(host, [pat])
+    cut = is_full(host, [pat], stop_at_gap=True)
+    assert cut.verdict == full.verdict == want
+    check_cut_report(host, [pat], cut, full)

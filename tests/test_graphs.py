@@ -383,7 +383,7 @@ class TestGraph6:
 
     def test_matches_the_pair_by_pair_encoder(self):
         rng = random.Random(4023)
-        for n in [*range(70), 150, 300]:
+        for n in [*range(70), 111, 112, 113, 150, 300, 1091]:  # 111-113: the first block seam
             for _ in range(3):
                 g = random_graph(rng, n, n)
                 assert to_graph6(g) == pairwise_graph6(g), n

@@ -10,8 +10,10 @@ import random
 
 import pytest
 
+from fullgraph import verifier
 from fullgraph.cli import main
-from fullgraph.constructions import h_vs_empty
+from fullgraph.constructions import design_full, h_vs_empty, star_full
+from fullgraph.designs import affine_plane
 from fullgraph.graphs import (
     Graph,
     complete,
@@ -24,6 +26,7 @@ from fullgraph.graphs import (
     star,
     to_graph6,
 )
+from fullgraph.patterns import parse_pattern_list
 from fullgraph.verifier import (
     extend_partial_map,
     find_induced_copy_containing,
@@ -294,3 +297,40 @@ class TestEdgelessCoverage:
         maps = {id(m): m for m in rep.coverages[0].witnesses.values()}
         assert len(maps) == 2
         assert all(recheck_witness(host, empty(200), m) for m in maps.values())
+
+
+def searches_per_pattern(monkeypatch, host, patterns, **kwargs):
+    """The verdict of ``is_full`` and its ``find_induced_copy_containing`` calls, per pattern."""
+    calls = {}
+    search = verifier.find_induced_copy_containing
+
+    def counting(host, pattern, v, prefer=0):
+        calls[pattern] = calls.get(pattern, 0) + 1
+        return search(host, pattern, v, prefer)
+
+    monkeypatch.setattr(verifier, "find_induced_copy_containing", counting)
+    verdict = is_full(host, patterns, **kwargs).verdict
+    monkeypatch.undo()
+    return verdict, [calls.get(p, 0) for p in patterns]
+
+
+class TestTwinSkip:
+    def test_star_host_searches_once_per_twin_class(self, monkeypatch):
+        host, _ = star_full(10, 1000)
+        patterns = parse_pattern_list("S10,E1000")
+        rows = host.rows
+        false_classes = {r for r in rows if rows.count(r) > 1}
+        classes = {("false", r) if r in false_classes else ("true", r | 1 << v) for v, r in enumerate(rows)}
+        assert (host.order, len(classes)) == (1064, 76)
+        verdict, calls = searches_per_pattern(monkeypatch, host, patterns, stop_at_gap=True)
+        assert verdict and all(c <= len(classes) for c in calls), calls
+        verdict, calls = searches_per_pattern(monkeypatch, host, patterns)
+        assert verdict and sum(calls) == 1093
+
+    def test_twin_free_host_searches_as_often_with_the_flag(self, monkeypatch):
+        patterns = parse_pattern_list("P9,C9,K9,E9")
+        host, _ = design_full(patterns, affine_plane(9))
+        assert len(set(host.rows)) == len({r | 1 << v for v, r in enumerate(host.rows)}) == host.order
+        verdict, calls = searches_per_pattern(monkeypatch, host, patterns)
+        assert verdict and sum(calls) == 125
+        assert searches_per_pattern(monkeypatch, host, patterns, stop_at_gap=True) == (True, calls)
