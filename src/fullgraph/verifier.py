@@ -196,10 +196,11 @@ def is_full(host: Graph, patterns: list[Graph], *, stop_at_gap: bool = False) ->
                     break
             else:
                 for w in role_map.values():
-                    witnesses.setdefault(w, role_map)
-                    left &= ~(1 << w)
-                    if stop_at_gap:
-                        twins.update((rows[w], rows[w] | 1 << w))
+                    if w not in witnesses:
+                        witnesses[w] = role_map
+                        left &= ~(1 << w)
+                        if stop_at_gap:
+                            twins.update((rows[w], rows[w] | 1 << w))
         coverages.append(PatternCoverage(to_graph6(pattern), witnesses, tuple(uncovered)))
         if stop_at_gap and uncovered:
             break
