@@ -50,7 +50,8 @@ class _Record:
             object.__setattr__(self, name, value)
 
     def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        # from a list, as a generator would leave a shrunk tuple per hash on a free list
+        return tuple([getattr(self, name) for name in self.__slots__])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -381,7 +382,7 @@ def independent_set_with(g: Graph, v: int, size: int, prefer: int = 0) -> list[i
 
 
 def is_empty_graph(g: Graph) -> bool:
-    return all(r == 0 for r in g.rows)
+    return not any(g.rows)
 
 
 def is_complete_graph(g: Graph) -> bool:

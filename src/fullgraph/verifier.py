@@ -7,16 +7,58 @@ placed pattern neighbours and of the complemented rows of the images of its
 placed non-neighbours, less the used vertices: copies are induced, so edges
 and non-edges both match.  Edgeless patterns use ``independent_set_with``.
 
-A verdict-only check (``is_full`` with ``stop_at_gap``) searches once per
-twin class at most: two vertices with equal rows (false twins) or equal
-closed rows (true twins) swap by an automorphism of the host, so a copy
-through one of them gives a copy through the other.
+The order of the levels and their degree lower bounds depend on the pattern
+and its pinned vertices only, so they are planned once and kept in a small
+cache keyed by the pattern's rows and pinned vertices: the same few patterns
+are searched on thousands of hosts, and their graph6 is cached too.
+
+Twins are two vertices with equal rows (false twins) or equal closed rows
+(true twins); swapping them is an automorphism.  An anchored search tries
+one anchor per twin class of the pattern, since a twin of a failed anchor
+fails too.  A verdict-only check (``is_full`` with ``stop_at_gap``) searches
+once per twin class of the host at most, since a copy through one of two
+twins gives a copy through the other.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .graphs import (Graph, _FrozenRecord, _independent_search, check_patterns, independent_set_with,
                      is_empty_graph, to_graph6)
+
+
+@lru_cache(maxsize=32)
+def _plan(prows: tuple[int, ...], pinned: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The search's levels for a pattern: its vertex at each level, and that vertex's degree.
+
+    Pinned vertices come first, in pin order, then the static connectivity
+    order: most placed neighbours, then higher degree, then lower index (a
+    mixed-radix key).
+    """
+    p = len(prows)
+    deg = [r.bit_count() for r in prows]
+    order = list(pinned)
+    placed = sum(1 << q for q in pinned)
+    rest = [q for q in range(p) if q not in pinned]
+    while rest:
+        top = best = -1
+        for q in rest:
+            key = ((prows[q] & placed).bit_count() * p + deg[q]) * p + p - 1 - q
+            if key > top:
+                top, best = key, q
+        rest.remove(best)
+        order.append(best)
+        placed |= 1 << best
+    # from a list: tuple() of a generator allocates 10 slots and shrinks, and
+    # the shrunk tuple then sits on a smaller size's free list when freed
+    return tuple(order), tuple([deg[q] for q in order])
+
+
+@lru_cache(maxsize=32)
+def _pattern_g6(pattern: Graph) -> str:
+    """graph6 of a pattern for its coverage; checks repeat the same few patterns."""
+    return to_graph6(pattern)
 
 
 def extend_partial_map(host: Graph, pattern: Graph, pins: dict[int, int]) -> dict[int, int] | None:
@@ -24,6 +66,8 @@ def extend_partial_map(host: Graph, pattern: Graph, pins: dict[int, int]) -> dic
 
     Returns a full role map or None.  With empty pins this searches for any
     induced copy of the pattern; pinning every vertex just validates a map.
+    The level order comes from the cached plan of the pattern's rows and the
+    pinned pattern vertices in pin order.
     """
     p, h = pattern.order, host.order
     if p < 1:
@@ -36,28 +80,11 @@ def extend_partial_map(host: Graph, pattern: Graph, pins: dict[int, int]) -> dic
         if not 0 <= w < h:
             raise ValueError(f"pinned host vertex {w} outside 0..{h - 1}")
     prows, hrows = pattern.rows, host.rows
-
-    # pinned vertices first, then the static connectivity order: most placed
-    # neighbours, then higher degree, then lower index (a mixed-radix key)
-    deg = [r.bit_count() for r in prows]
-    order = list(pins)
-    placed = sum(1 << q for q in pins)
-    rest = [q for q in range(p) if q not in pins]
-    while rest:
-        top = best = -1
-        for q in rest:
-            key = ((prows[q] & placed).bit_count() * p + deg[q]) * p + p - 1 - q
-            if key > top:
-                top, best = key, q
-        rest.remove(best)
-        order.append(best)
-        placed |= 1 << best
+    order, lo = _plan(prows, tuple(pins))
 
     # per level: the host vertices allowed (one if pinned) and the degree
     # range, since an image needs as many neighbours and non-neighbours
-    full = (1 << h) - 1
-    allowed = [1 << pins[q] if q in pins else full for q in order]
-    lo = [deg[q] for q in order]
+    allowed = [1 << w for w in pins.values()] + [(1 << h) - 1] * (p - len(pins))
     hi = [h - p + d for d in lo]
 
     images = [0] * p
@@ -97,9 +124,11 @@ def find_induced_copy_containing(
     """Induced copy of the pattern through host vertex v, or None.
 
     Tries each pattern vertex as the role of v, then extends depth-first.
-    The returned role map is deterministic for fixed inputs.  An edgeless
-    copy takes host vertices in the bitmask ``prefer`` first where its
-    choice is free; other patterns ignore it.
+    A vertex whose row or closed row equals that of a vertex already tried
+    is its twin, so it fails as that one did and is skipped.  The returned
+    role map is deterministic for fixed inputs, the one the first successful
+    anchor gives.  An edgeless copy takes host vertices in the bitmask
+    ``prefer`` first where its choice is free; other patterns ignore it.
     """
     if not 0 <= v < host.order:
         raise ValueError(f"vertex {v} outside 0..{host.order - 1}")
@@ -108,10 +137,14 @@ def find_induced_copy_containing(
         # dedicated branch-and-bound settles orders of magnitude faster
         members = independent_set_with(host, v, pattern.order, prefer)
         return None if members is None else dict(enumerate(members))
-    for anchor in range(pattern.order):
+    tried = set()  # rows and closed rows of the anchors tried
+    for anchor, row in enumerate(pattern.rows):
+        if row in tried or row | 1 << anchor in tried:
+            continue
         found = extend_partial_map(host, pattern, {anchor: v})
         if found is not None:
             return found
+        tried.update((row, row | 1 << anchor))
     return None
 
 
@@ -177,6 +210,9 @@ def is_full(host: Graph, patterns: list[Graph], *, stop_at_gap: bool = False) ->
     swapped, and is skipped unsearched and left without a witness.  The
     verdict and the first uncovered vertex are exact, but the report is not
     a prefix of the one made without the flag: its witnesses can differ.
+
+    Each pattern's ``pattern_g6`` comes from a small cache, so repeated
+    checks of the same patterns encode them once.
     """
     check_patterns(patterns)
     rows = host.rows
@@ -201,7 +237,7 @@ def is_full(host: Graph, patterns: list[Graph], *, stop_at_gap: bool = False) ->
                         left &= ~(1 << w)
                         if stop_at_gap:
                             twins.update((rows[w], rows[w] | 1 << w))
-        coverages.append(PatternCoverage(to_graph6(pattern), witnesses, tuple(uncovered)))
+        coverages.append(PatternCoverage(_pattern_g6(pattern), witnesses, tuple(uncovered)))
         if stop_at_gap and uncovered:
             break
     return FullnessReport(host.order, tuple(coverages))

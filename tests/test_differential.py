@@ -14,8 +14,11 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from networkx.algorithms.isomorphism import GraphMatcher  # noqa: E402
 
+from hypothesis import assume  # noqa: E402
+from fullgraph import verifier  # noqa: E402
 from fullgraph.graphs import Graph  # noqa: E402
 from fullgraph.verifier import (  # noqa: E402
+    extend_partial_map,
     find_induced_copy_containing,
     has_induced_copy,
     is_full,
@@ -134,3 +137,46 @@ def test_stop_at_gap_on_twin_classes_matches_networkx(host, pat):
     cut = is_full(host, [pat], stop_at_gap=True)
     assert cut.verdict == full.verdict == want
     check_cut_report(host, [pat], cut, full)
+
+
+@st.composite
+def pinned_searches(draw):
+    """A host, plain or a twin blow-up, a pattern of order 1-5, and random pins."""
+    host = draw(st.one_of(graphs(1, 10), twin_blowups()))
+    pat = draw(graphs(1, 5))
+    pinned = draw(st.lists(st.integers(0, pat.order - 1), unique=True, max_size=pat.order))
+    images = draw(st.lists(st.integers(0, host.order - 1), min_size=len(pinned), max_size=len(pinned)))
+    return host, pat, dict(zip(pinned, images))
+
+
+@SETTINGS
+@given(pinned_searches())
+def test_cached_plan_finds_the_copy_a_fresh_plan_finds(search):
+    host, pat, pins = search
+    before = extend_partial_map(host, pat, pins)  # with what earlier examples left cached
+    verifier._plan.cache_clear()
+    cold = extend_partial_map(host, pat, pins)
+    warm = extend_partial_map(host, pat, pins)
+    assert before == cold == warm
+    if cold is not None:
+        assert all(cold[q] == w for q, w in pins.items())
+        assert recheck_witness(host, pat, cold)
+    assert verifier._plan.cache_info().currsize <= verifier._plan.cache_info().maxsize
+
+
+def every_anchor(host, pat, v):
+    """The anchored search with no anchor skipped: each pattern vertex in index order."""
+    for anchor in range(pat.order):
+        found = extend_partial_map(host, pat, {anchor: v})
+        if found is not None:
+            return found
+    return None
+
+
+@SETTINGS
+@given(pinned_searches(), st.data())
+def test_anchored_search_skips_only_twin_anchors(search, data):
+    host, pat, _ = search
+    assume(any(pat.rows))  # an edgeless pattern takes the independent-set route
+    v = data.draw(st.integers(0, host.order - 1))
+    assert find_induced_copy_containing(host, pat, v) == every_anchor(host, pat, v)

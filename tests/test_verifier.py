@@ -7,6 +7,9 @@ sharing no code with the search under test.
 import itertools
 import json
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -334,3 +337,55 @@ class TestTwinSkip:
         verdict, calls = searches_per_pattern(monkeypatch, host, patterns)
         assert verdict and sum(calls) == 125
         assert searches_per_pattern(monkeypatch, host, patterns, stop_at_gap=True) == (True, calls)
+
+
+class TestPlanCache:
+    """The level plans ``extend_partial_map`` keeps, read in a child interpreter.
+
+    A fresh interpreter starts with empty caches and no stored enumeration
+    level, so what it prints depends on the code it runs alone.
+    """
+
+    CODE = """
+import json, sys
+sys.path.insert(0, {src!r})
+from fullgraph import oracle, verifier
+from fullgraph.constructions import star_full
+from fullgraph.patterns import parse_pattern_list
+plan = verifier._plan
+{then}
+"""
+
+    def run(self, then: str):
+        src = str(Path(verifier.__file__).resolve().parent.parent)
+        p = subprocess.run([sys.executable, "-c", self.CODE.format(src=src, then=then)],
+                           capture_output=True, text=True, timeout=120)
+        assert p.returncode == 0, p.stderr
+        return json.loads(p.stdout)
+
+    def test_cached_plans_stay_as_planned(self):
+        # a hit returns the stored plan itself, so the last plan returned for
+        # each key covers every plan the cache still holds
+        got = self.run("""
+returned = {}
+def recording(*key):
+    returned[key] = plan(*key)
+    return returned[key]
+verifier._plan = recording
+for _ in oracle.enumerate_graphs(8): pass
+host, _ = star_full(10, 1000)
+assert verifier.is_full(host, parse_pattern_list("S10,E1000"), stop_at_gap=True).verdict
+info = plan.cache_info()
+print(json.dumps({"keys": len(returned), "currsize": info.currsize, "maxsize": info.maxsize,
+                  "stale": [repr(k) for k, v in returned.items() if v != plan.__wrapped__(*k)]}))
+""")
+        assert got["stale"] == []
+        assert got["keys"] > got["maxsize"] >= got["currsize"] > 0
+
+    def test_search_hits_and_misses_are_pinned(self, tmp_path):
+        # the misses are mostly automorphism tests, whose pattern is each new child
+        got = self.run(f"""
+oracle.f_exact(parse_pattern_list("K3,E3"), cache_dir={str(tmp_path)!r})
+print(json.dumps({{"plan": plan.cache_info()[:2], "pattern_g6": verifier._pattern_g6.cache_info()[:2]}}))
+""")
+        assert got == {"plan": [2900, 932], "pattern_g6": [856, 2]}
