@@ -211,8 +211,8 @@ def is_full(host: Graph, patterns: list[Graph], *, stop_at_gap: bool = False) ->
     verdict and the first uncovered vertex are exact, but the report is not
     a prefix of the one made without the flag: its witnesses can differ.
 
-    Each pattern's ``pattern_g6`` comes from a small cache, so repeated
-    checks of the same patterns encode them once.
+    The ``pattern_g6`` of a pattern of order at most 16 comes from a small
+    cache, so repeated checks of the same patterns encode them once.
     """
     check_patterns(patterns)
     rows = host.rows
@@ -237,7 +237,9 @@ def is_full(host: Graph, patterns: list[Graph], *, stop_at_gap: bool = False) ->
                         left &= ~(1 << w)
                         if stop_at_gap:
                             twins.update((rows[w], rows[w] | 1 << w))
-        coverages.append(PatternCoverage(_pattern_g6(pattern), witnesses, tuple(uncovered)))
+        # only small patterns repeat; a large one's string would outlive its report (83 KB for E1000)
+        g6 = _pattern_g6(pattern) if pattern.order <= 16 else to_graph6(pattern)
+        coverages.append(PatternCoverage(g6, witnesses, tuple(uncovered)))
         if stop_at_gap and uncovered:
             break
     return FullnessReport(host.order, tuple(coverages))

@@ -377,10 +377,13 @@ host, _ = star_full(10, 1000)
 assert verifier.is_full(host, parse_pattern_list("S10,E1000"), stop_at_gap=True).verdict
 info = plan.cache_info()
 print(json.dumps({"keys": len(returned), "currsize": info.currsize, "maxsize": info.maxsize,
-                  "stale": [repr(k) for k, v in returned.items() if v != plan.__wrapped__(*k)]}))
+                  "stale": [repr(k) for k, v in returned.items() if v != plan.__wrapped__(*k)],
+                  "g6_cached": verifier._pattern_g6.cache_info().currsize}))
 """)
         assert got["stale"] == []
         assert got["keys"] > got["maxsize"] >= got["currsize"] > 0
+        # S10 is cached; E1000's 83 KB graph6 is not
+        assert got["g6_cached"] == 1
 
     def test_search_hits_and_misses_are_pinned(self, tmp_path):
         # the misses are mostly automorphism tests, whose pattern is each new child
