@@ -10,11 +10,10 @@ import pytest
 nx = pytest.importorskip("networkx")
 hypothesis = pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from networkx.algorithms.isomorphism import GraphMatcher  # noqa: E402
 
-from hypothesis import assume  # noqa: E402
 from fullgraph import verifier  # noqa: E402
 from fullgraph.graphs import Graph  # noqa: E402
 from fullgraph.verifier import (  # noqa: E402
@@ -161,7 +160,6 @@ def test_cached_plan_finds_the_copy_a_fresh_plan_finds(search):
     if cold is not None:
         assert all(cold[q] == w for q, w in pins.items())
         assert recheck_witness(host, pat, cold)
-    assert verifier._plan.cache_info().currsize <= verifier._plan.cache_info().maxsize
 
 
 def every_anchor(host, pat, v):
