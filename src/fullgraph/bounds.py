@@ -347,7 +347,7 @@ def summarize(patterns: list[Graph], n: int | None = None) -> BoundSummary:
                 else:
                     entries.append(BoundEntry("isolated_vertex_exact", "exact", None, False,
                                               reason=f"needs n >= s = {s}"))
-            if h.order >= 2 and star_center(h) is not None:
+            if star_center(h) is not None:
                 m = h.order
                 entries.append(BoundEntry("star_trivial_lower", "lower",
                                           star_trivial_lower(m, nn), True))

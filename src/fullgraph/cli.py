@@ -224,8 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--q", type=int, help="design construction: affine plane order")
     c.add_argument("--out", help="write the graph6 string to this file")
     c.add_argument("--recipe-out", help="write the recipe JSON to this file")
-    c.add_argument("--verify", dest="verify", action="store_true", default=True)
-    c.add_argument("--no-verify", dest="verify", action="store_false")
+    c.add_argument("--verify", action=argparse.BooleanOptionalAction, default=True)
     c.set_defaults(func=_cmd_construct)
 
     v = sub.add_parser("verify", help="check every vertex lies in induced copies of the patterns")

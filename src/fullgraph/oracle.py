@@ -270,7 +270,7 @@ def _children(rows: tuple[int, ...], z: int) -> Iterator[bytes]:
             rival = max([(rows[v] & m).bit_count() for m in masks] for v in range(z) if tied >> v & 1)
             if rival > mine:
                 continue
-        child_rows = tuple(r | ((subset >> v) & 1) << z for v, r in enumerate(rows)) + (subset,)
+        child_rows = tuple([r | ((subset >> v) & 1) << z for v, r in enumerate(rows)] + [subset])
         if tied and rival == mine:  # a tie, or no lower degree class
             # the degree classes are the first round's refinement of the unit partition
             classes = [[v for v in range(z + 1) if m >> v & 1] for m in masks + [tied | 1 << z]]

@@ -10,7 +10,7 @@ and non-edges both match.  Edgeless patterns use ``independent_set_with``.
 The order of the levels and their degree lower bounds depend on the pattern
 and its pinned vertices only, so they are planned once and kept in a small
 cache keyed by the pattern's rows and pinned vertices: the same few patterns
-are searched on thousands of hosts, and their graph6 is cached too.
+are searched on thousands of hosts.
 
 Twins are two vertices with equal rows (false twins) or equal closed rows
 (true twins); swapping them is an automorphism.  An anchored search tries
@@ -53,12 +53,6 @@ def _plan(prows: tuple[int, ...], pinned: tuple[int, ...]) -> tuple[tuple[int, .
     # from a list: tuple() of a generator allocates 10 slots and shrinks, and
     # the shrunk tuple then sits on a smaller size's free list when freed
     return tuple(order), tuple([deg[q] for q in order])
-
-
-@lru_cache(maxsize=32)
-def _pattern_g6(pattern: Graph) -> str:
-    """graph6 of a pattern for its coverage; checks repeat the same few patterns."""
-    return to_graph6(pattern)
 
 
 def extend_partial_map(host: Graph, pattern: Graph, pins: dict[int, int]) -> dict[int, int] | None:
@@ -210,9 +204,6 @@ def is_full(host: Graph, patterns: list[Graph], *, stop_at_gap: bool = False) ->
     swapped, and is skipped unsearched and left without a witness.  The
     verdict and the first uncovered vertex are exact, but the report is not
     a prefix of the one made without the flag: its witnesses can differ.
-
-    The ``pattern_g6`` of a pattern of order at most 16 comes from a small
-    cache, so repeated checks of the same patterns encode them once.
     """
     check_patterns(patterns)
     rows = host.rows
@@ -237,9 +228,7 @@ def is_full(host: Graph, patterns: list[Graph], *, stop_at_gap: bool = False) ->
                         left &= ~(1 << w)
                         if stop_at_gap:
                             twins.update((rows[w], rows[w] | 1 << w))
-        # only small patterns repeat; a large one's string would outlive its report (83 KB for E1000)
-        g6 = _pattern_g6(pattern) if pattern.order <= 16 else to_graph6(pattern)
-        coverages.append(PatternCoverage(g6, witnesses, tuple(uncovered)))
+        coverages.append(PatternCoverage(to_graph6(pattern), witnesses, tuple(uncovered)))
         if stop_at_gap and uncovered:
             break
     return FullnessReport(host.order, tuple(coverages))

@@ -179,6 +179,14 @@ class TestConstruct:
         assert json.loads(rec.read_text()) == printed
         assert rec.read_text() == json.dumps(printed, sort_keys=True, indent=2) + "\n"
 
+    def test_explicit_verify_is_the_default(self, capsys):
+        argv = ["construct", "--theorem", "cyclic", "--patterns", "K3,E3"]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert json.loads(default)["verified"] is True
+        assert main([*argv, "--verify"]) == 0
+        assert capsys.readouterr().out == default
+
     def test_no_verify_skips_check(self):
         p = run("construct", "--theorem", "cyclic", "--patterns", "K2", "--no-verify")
         assert p.returncode == 0
