@@ -11,7 +11,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fullgraph.constructions import h_vs_empty
@@ -345,6 +345,133 @@ class TestIndependentSearch:
             size = pool.bit_count()
             for target in range(max(0, size - 5), size + 2):
                 check_search(g, pool, target)
+
+
+
+def reference_independent_search(rows, pool, target, prefer=0):
+    """The search as it was before it took twin classes at once, kept verbatim as the reference."""
+    chosen: list[int] = []
+    pending: list[tuple[int, int]] = []  # (pool, len(chosen)) of branches still to try
+    p = pool
+    while True:
+        slack = len(chosen) + p.bit_count() - target
+        if slack >= 0:
+            if len(chosen) >= target:
+                return chosen
+            u, udeg, over = -1, -1, 0
+            w = p
+            while w:
+                low = w & -w
+                c = low.bit_length() - 1
+                d = (rows[c] & p).bit_count()
+                if d > slack:
+                    over |= low
+                elif d > udeg:
+                    u, udeg = c, d
+                w ^= low
+            if over:
+                p ^= over
+                continue
+            if udeg > 1:
+                pending.append((p & ~(1 << u), len(chosen)))
+                chosen.append(u)
+                p &= ~(rows[u] | (1 << u))
+                continue
+            # isolated vertices and disjoint edges: one end of every edge
+            # and every isolated vertex make a largest set
+            for part in (prefer, -1):
+                w = p & part
+                while w:
+                    c = (w & -w).bit_length() - 1
+                    chosen.append(c)
+                    p &= ~(rows[c] | (1 << c))
+                    w &= p
+            if len(chosen) >= target:
+                return chosen
+        if not pending:
+            return None
+        p, size = pending.pop()
+        del chosen[size:]
+
+
+def reference_independent_set_with(g, v, size, prefer=0):
+    """``independent_set_with`` on the reference search, with its sort as it was."""
+    if size > g.order:
+        return None
+    pool = ((1 << g.order) - 1) & ~g.rows[v] & ~(1 << v)
+    found = reference_independent_search(g.rows, pool, size - 1, prefer)
+    if found is None:
+        return None
+    found.sort(key=lambda w: not (prefer >> w) & 1)
+    return sorted([v] + found[: size - 1])
+
+
+@st.composite
+def twin_blow_ups(draw):
+    """A small graph whose vertices become classes of false or true twins, relabeled."""
+    base = draw(st.integers(1, 6))
+    pairs = [(u, v) for v in range(base) for u in range(v)]
+    bits = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    sizes = draw(st.lists(st.integers(1, 5), min_size=base, max_size=base))
+    cliques = draw(st.lists(st.booleans(), min_size=base, max_size=base))  # true twins
+    members, n = [], 0
+    for size in sizes:
+        members.append(range(n, n + size))
+        n += size
+    edges = [(a, b) for (u, v), bit in zip(pairs, bits) if bit for a in members[u] for b in members[v]]
+    edges += [(a, b) for u in range(base) if cliques[u] for a in members[u] for b in members[u] if a < b]
+    return relabeled(Graph.from_edges(n, edges), draw(st.permutations(range(n))))
+
+
+@st.composite
+def twin_free_graphs(draw):
+    n = draw(st.integers(0, 14))
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    bits = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph.from_edges(n, [e for e, b in zip(pairs, bits) if b])
+    assume(len(set(g.rows)) == n)
+    return g
+
+
+@st.composite
+def searches_on(draw, graphs):
+    """A graph with a pool (often every vertex), a target and a ``prefer`` mask."""
+    g = draw(graphs)
+    full = (1 << g.order) - 1
+    pool = draw(st.one_of(st.just(full), st.integers(0, full)))
+    return g, pool, draw(st.integers(0, g.order + 1)), draw(st.integers(0, full))
+
+
+class TestTwinClassSearch:
+    """The search takes a class of equal-row vertices at once, and returns what it returned before."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(searches_on(twin_blow_ups()), searches_on(twin_free_graphs()), searches_on(
+        searches().map(lambda case: case[0]))))
+    def test_same_list_as_the_reference(self, case):
+        g, pool, target, prefer = case
+        assert _independent_search(g.rows, pool, target, prefer) == \
+            reference_independent_search(g.rows, pool, target, prefer)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(searches_on(twin_blow_ups()), st.data())
+    def test_independent_set_with_returns_the_same_set(self, case, data):
+        g, _, _, prefer = case
+        v = data.draw(st.integers(0, g.order - 1))
+        size = data.draw(st.integers(1, g.order + 1))
+        assert independent_set_with(g, v, size, prefer) == reference_independent_set_with(g, v, size, prefer)
+
+    def test_large_blow_ups_match_the_reference(self):
+        host, _ = h_vs_empty(cycle(5), 200)
+        rows = host.rows
+        full = (1 << host.order) - 1
+        rng = random.Random(29)
+        for v in range(0, host.order, 7):
+            pool = full & ~rows[v] & ~(1 << v)
+            prefer = rng.getrandbits(host.order)
+            for target in (150, 199, 200, 205):
+                assert _independent_search(rows, pool, target, prefer) == \
+                    reference_independent_search(rows, pool, target, prefer)
 
 
 class TestGraph6:

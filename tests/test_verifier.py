@@ -4,6 +4,7 @@ The brute-force oracle enumerates vertex subsets and permutations directly,
 sharing no code with the search under test.
 """
 
+import hashlib
 import itertools
 import json
 import random
@@ -346,6 +347,37 @@ class TestTwinSkip:
         verdict, calls = searches_per_pattern(monkeypatch, host, patterns)
         assert verdict and sum(calls) == 125
         assert searches_per_pattern(monkeypatch, host, patterns, stop_at_gap=True) == (True, calls)
+
+
+
+class TestEdgelessReportsArePinned:
+    """Whole reports on hosts built around a large independent set, and on a twin-free host.
+
+    The digests were taken before the independent-set search learned to take
+    a class of equal-row vertices at once; every witness it picks must stay.
+    """
+
+    HOSTS = {
+        "S10,E1000": lambda: star_full(10, 1000)[0],
+        "K4,E160": lambda: h_vs_empty(complete(4), 160)[0],
+        "C5,E400": lambda: h_vs_empty(cycle(5), 400)[0],
+        "P9,C9,K9,E9": lambda: design_full(parse_pattern_list("P9,C9,K9,E9"), affine_plane(9))[0],
+    }
+
+    @pytest.mark.parametrize("patterns,full,at_gap", [
+        ("S10,E1000", "591050594afc6c76", "d9be4c2896fa6ea8"),
+        ("K4,E160", "adc3bc5374de9b1a", "bf13243d3059e3cf"),
+        ("C5,E400", "153bb5c641f44be4", "c5350baf67905106"),
+        ("P9,C9,K9,E9", "948c007390c80a72", "948c007390c80a72"),
+    ])
+    def test_report_digests(self, patterns, full, at_gap):
+        host = self.HOSTS[patterns]()
+        digests = []
+        for stop_at_gap in (False, True):
+            data = is_full(host, parse_pattern_list(patterns), stop_at_gap=stop_at_gap).to_dict()
+            assert data["verdict"] is True
+            digests.append(hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()[:16])
+        assert digests == [full, at_gap]
 
 
 class TestPlanCache:
