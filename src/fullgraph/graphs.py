@@ -8,6 +8,7 @@ operations return new graphs; nothing mutates in place.
 from __future__ import annotations
 
 from binascii import b2a_base64
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 
@@ -276,6 +277,20 @@ def max_degree(g: Graph) -> int:
 # -- exact independence -----------------------------------------------------
 
 
+@lru_cache(maxsize=1)
+def _twin_masks(rows: tuple[int, ...]) -> tuple[int, ...] | None:
+    """Each vertex's class of equal rows as a bitmask, or None when no two rows are equal.
+
+    One entry kept: the searches of a verdict all run on one host.
+    """
+    if len(set(rows)) == len(rows):
+        return None
+    classes: dict[int, int] = {}
+    for v, r in enumerate(rows):
+        classes[r] = classes.get(r, 0) | 1 << v
+    return tuple([classes[r] for r in rows])
+
+
 def _independent_search(rows: tuple[int, ...], pool: int, target: int, prefer: int = 0) -> list[int] | None:
     """Independent set of at least ``target`` vertices inside the bitmask ``pool``, or None.
 
@@ -292,7 +307,19 @@ def _independent_search(rows: tuple[int, ...], pool: int, target: int, prefer: i
     has two neighbours is settled without branching, so the set returned can
     be larger than ``target``; there any order of taking vertices gives a
     largest set, and the vertices in the bitmask ``prefer`` are taken first.
+
+    False twins (equal rows) have equal pool degrees and are never adjacent.
+    So on a host with twins the scans step one class at a time: one degree
+    test drops, or passes over, a vertex and its twins left in the pool, and
+    the vertex branched on is still the lowest of the highest degree.  The
+    settle step takes a vertex with its twins in the pool and appends what
+    each pass took in increasing index: the list returned is the one a
+    vertex-by-vertex pass returns.  A twin-free host, or one below 16
+    vertices, is scanned vertex by vertex.
     """
+    # below 16 vertices (every host of the exhaustive search), a scan is too
+    # short for a class lookup to pay for itself
+    twins = _twin_masks(rows) if len(rows) >= 16 else None
     chosen: list[int] = []
     pending: list[tuple[int, int]] = []  # (pool, len(chosen)) of branches still to try
     p = pool
@@ -303,15 +330,26 @@ def _independent_search(rows: tuple[int, ...], pool: int, target: int, prefer: i
                 return chosen
             u, udeg, over = -1, -1, 0
             w = p
-            while w:
-                low = w & -w
-                c = low.bit_length() - 1
-                d = (rows[c] & p).bit_count()
-                if d > slack:
-                    over |= low
-                elif d > udeg:
-                    u, udeg = c, d
-                w ^= low
+            if twins is None:
+                while w:
+                    low = w & -w
+                    c = low.bit_length() - 1
+                    d = (rows[c] & p).bit_count()
+                    if d > slack:
+                        over |= low
+                    elif d > udeg:
+                        u, udeg = c, d
+                    w ^= low
+            else:
+                while w:
+                    c = (w & -w).bit_length() - 1
+                    same = twins[c] & w  # c and its twins not yet scanned
+                    d = (rows[c] & p).bit_count()
+                    if d > slack:
+                        over |= same
+                    elif d > udeg:
+                        u, udeg = c, d
+                    w ^= same
             if over:
                 p ^= over
                 continue
@@ -324,11 +362,21 @@ def _independent_search(rows: tuple[int, ...], pool: int, target: int, prefer: i
             # and every isolated vertex make a largest set
             for part in (prefer, -1):
                 w = p & part
+                if twins is None:
+                    while w:
+                        c = (w & -w).bit_length() - 1
+                        chosen.append(c)
+                        p &= ~(rows[c] | (1 << c))
+                        w &= p
+                    continue
+                taken = 0
                 while w:
                     c = (w & -w).bit_length() - 1
-                    chosen.append(c)
-                    p &= ~(rows[c] | (1 << c))
+                    same = twins[c] & w
+                    taken |= same
+                    p &= ~(rows[c] | same)
                     w &= p
+                chosen += [c for c, bit in enumerate(bin(taken)[:1:-1]) if bit == "1"]
             if len(chosen) >= target:
                 return chosen
         if not pending:
@@ -374,7 +422,8 @@ def independent_set_with(g: Graph, v: int, size: int, prefer: int = 0) -> list[i
     found = _independent_search(g.rows, pool, size - 1, prefer)
     if found is None:
         return None
-    found.sort(key=lambda w: not (prefer >> w) & 1)
+    if len(found) >= size:  # more than needed: the preferred ones go first, in found order
+        found.sort(key=lambda w: not (prefer >> w) & 1)
     return sorted([v] + found[: size - 1])
 
 

@@ -5,7 +5,9 @@ vertices first, the rest in a static connectivity order.  A level's host
 candidates are one bitmask, the AND of the host rows of the images of its
 placed pattern neighbours and of the complemented rows of the images of its
 placed non-neighbours, less the used vertices: copies are induced, so edges
-and non-edges both match.  Edgeless patterns use ``independent_set_with``.
+and non-edges both match.  Edgeless patterns use ``independent_set_with``,
+whose search scans and takes a host's vertices of equal rows a class at a
+time.
 
 The order of the levels and their degree lower bounds depend on the pattern
 and its pinned vertices only, so they are planned once and kept in a small

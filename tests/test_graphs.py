@@ -14,11 +14,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fullgraph.cli import main
 from fullgraph.constructions import h_vs_empty
 from fullgraph.graphs import (
     Graph,
     Graph6Error,
     _independent_search,
+    _twin_masks,
     alpha_with_vertex,
     complement,
     complete,
@@ -408,11 +410,14 @@ def reference_independent_set_with(g, v, size, prefer=0):
 
 @st.composite
 def twin_blow_ups(draw):
-    """A small graph whose vertices become classes of false or true twins, relabeled."""
-    base = draw(st.integers(1, 6))
+    """A small graph whose vertices become classes of false or true twins, relabeled.
+
+    Most have 16 vertices or more, where the search looks its classes up.
+    """
+    base = draw(st.integers(1, 8))
     pairs = [(u, v) for v in range(base) for u in range(v)]
     bits = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    sizes = draw(st.lists(st.integers(1, 5), min_size=base, max_size=base))
+    sizes = draw(st.lists(st.integers(1, 6), min_size=base, max_size=base))
     cliques = draw(st.lists(st.booleans(), min_size=base, max_size=base))  # true twins
     members, n = [], 0
     for size in sizes:
@@ -425,7 +430,7 @@ def twin_blow_ups(draw):
 
 @st.composite
 def twin_free_graphs(draw):
-    n = draw(st.integers(0, 14))
+    n = draw(st.integers(0, 24))
     pairs = [(u, v) for v in range(n) for u in range(v)]
     bits = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     g = Graph.from_edges(n, [e for e, b in zip(pairs, bits) if b])
@@ -445,7 +450,7 @@ def searches_on(draw, graphs):
 class TestTwinClassSearch:
     """The search takes a class of equal-row vertices at once, and returns what it returned before."""
 
-    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
     @given(st.one_of(searches_on(twin_blow_ups()), searches_on(twin_free_graphs()), searches_on(
         searches().map(lambda case: case[0]))))
     def test_same_list_as_the_reference(self, case):
@@ -472,6 +477,35 @@ class TestTwinClassSearch:
             for target in (150, 199, 200, 205):
                 assert _independent_search(rows, pool, target, prefer) == \
                     reference_independent_search(rows, pool, target, prefer)
+
+
+
+class TestTwinMasks:
+    def test_masks_partition_the_vertices_into_classes_of_equal_rows(self):
+        host, _ = h_vs_empty(cycle(5), 200)
+        rows = host.rows
+        masks = _twin_masks(rows)
+        assert len(masks) == host.order
+        classes = set(masks)
+        assert len(classes) == len(set(rows)) < host.order
+        assert sum(m.bit_count() for m in classes) == host.order
+        assert sum(classes) == (1 << host.order) - 1
+        for v, mask in enumerate(masks):
+            assert mask == sum(1 << u for u, r in enumerate(rows) if r == rows[v])
+
+    def test_twin_free_host_gets_none(self):
+        assert _twin_masks(disjoint_union(*[cycle(5)] * 8).rows) is None
+        assert _twin_masks(()) is None
+
+    def test_one_host_is_kept_after_a_verify(self, tmp_path, capsys):
+        host, _ = h_vs_empty(cycle(5), 60)
+        f = tmp_path / "host.g6"
+        f.write_text(to_graph6(host) + "\n")
+        _twin_masks.cache_clear()
+        assert main(["verify", str(f), "--patterns", "C5,E60"]) == 0
+        capsys.readouterr()
+        info = _twin_masks.cache_info()
+        assert info.currsize <= 1 and info.misses == 1 and info.hits > 0
 
 
 class TestGraph6:
