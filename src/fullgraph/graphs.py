@@ -277,18 +277,13 @@ def max_degree(g: Graph) -> int:
 # -- exact independence -----------------------------------------------------
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=1)  # the searches of a verdict all run on one host
 def _twin_masks(rows: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Each vertex's class of equal rows as a bitmask, or None when no two rows are equal.
-
-    One entry kept: the searches of a verdict all run on one host.
-    """
-    if len(set(rows)) == len(rows):
-        return None
+    """Each vertex's class of equal rows as a bitmask, or None when no two rows are equal."""
     classes: dict[int, int] = {}
     for v, r in enumerate(rows):
         classes[r] = classes.get(r, 0) | 1 << v
-    return tuple([classes[r] for r in rows])
+    return None if len(classes) == len(rows) else tuple([classes[r] for r in rows])
 
 
 def _independent_search(rows: tuple[int, ...], pool: int, target: int, prefer: int = 0) -> list[int] | None:
@@ -311,7 +306,7 @@ def _independent_search(rows: tuple[int, ...], pool: int, target: int, prefer: i
     False twins (equal rows) have equal pool degrees and are never adjacent.
     So on a host with twins the scans step one class at a time: one degree
     test drops, or passes over, a vertex and its twins left in the pool, and
-    the vertex branched on is still the lowest of the highest degree.  The
+    the vertex branched on is still the first of highest degree.  The
     settle step takes a vertex with its twins in the pool and appends what
     each pass took in increasing index: the list returned is the one a
     vertex-by-vertex pass returns.  A twin-free host, or one below 16
