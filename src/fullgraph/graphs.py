@@ -309,12 +309,12 @@ def _independent_search(rows: tuple[int, ...], pool: int, target: int, prefer: i
     the vertex branched on is still the first of highest degree.  The
     settle step takes a vertex with its twins in the pool and appends what
     each pass took in increasing index: the list returned is the one a
-    vertex-by-vertex pass returns.  A twin-free host, or one below 16
-    vertices, is scanned vertex by vertex.
+    vertex-by-vertex pass returns.  A twin-free host, or a pool inside
+    vertices 0..14, is scanned vertex by vertex.
     """
-    # below 16 vertices (every host of the exhaustive search), a scan is too
-    # short for a class lookup to pay for itself
-    twins = _twin_masks(rows) if len(rows) >= 16 else None
+    # a pool inside vertices 0..14, as on every host of the exhaustive search,
+    # is scanned too quickly for a class lookup to pay for itself
+    twins = _twin_masks(rows) if pool >> 15 else None
     chosen: list[int] = []
     pending: list[tuple[int, int]] = []  # (pool, len(chosen)) of branches still to try
     p = pool

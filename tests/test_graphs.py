@@ -412,7 +412,8 @@ def reference_independent_set_with(g, v, size, prefer=0):
 def twin_blow_ups(draw):
     """A small graph whose vertices become classes of false or true twins, relabeled.
 
-    Most have 16 vertices or more, where the search looks its classes up.
+    Most have 16 vertices or more, so that most pools reach past vertex 14,
+    where the search looks its classes up.
     """
     base = draw(st.integers(1, 8))
     pairs = [(u, v) for v in range(base) for u in range(v)]
