@@ -314,7 +314,7 @@ def _independent_search(rows: tuple[int, ...], pool: int, target: int, prefer: i
     """
     # a pool inside vertices 0..14, as on every host of the exhaustive search,
     # is scanned too quickly for a class lookup to pay for itself
-    twins = _twin_masks(rows) if pool >> 15 else None
+    twins = _twin_masks(rows) if pool >= 1 << 15 else None
     chosen: list[int] = []
     pending: list[tuple[int, int]] = []  # (pool, len(chosen)) of branches still to try
     p = pool
