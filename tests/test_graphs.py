@@ -349,7 +349,6 @@ class TestIndependentSearch:
                 check_search(g, pool, target)
 
 
-
 def reference_independent_search(rows, pool, target, prefer=0):
     """The search as it was before it took twin classes at once, kept verbatim as the reference."""
     chosen: list[int] = []
@@ -480,17 +479,13 @@ class TestTwinClassSearch:
                     reference_independent_search(rows, pool, target, prefer)
 
 
-
 class TestTwinMasks:
     def test_masks_partition_the_vertices_into_classes_of_equal_rows(self):
         host, _ = h_vs_empty(cycle(5), 200)
         rows = host.rows
         masks = _twin_masks(rows)
         assert len(masks) == host.order
-        classes = set(masks)
-        assert len(classes) == len(set(rows)) < host.order
-        assert sum(m.bit_count() for m in classes) == host.order
-        assert sum(classes) == (1 << host.order) - 1
+        assert len(set(masks)) == len(set(rows)) < host.order
         for v, mask in enumerate(masks):
             assert mask == sum(1 << u for u, r in enumerate(rows) if r == rows[v])
 
