@@ -4,8 +4,8 @@ Subcommands: construct (build and optionally verify), verify (fullness
 report for a host), bound (formula values), search (exact minimum via
 enumeration), design (affine plane as JSON).  JSON goes to stdout,
 diagnostics to stderr.  Exit codes: 0 success / verdict true, 1 verdict
-false or failed verification, 2 usage or parse error, 3 internal
-invariant breach.
+false or failed verification, 2 usage, parse or size error, 3 internal
+invariant breach or any other unexpected exception (with its traceback).
 """
 
 from __future__ import annotations
@@ -264,11 +264,14 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalInvariantError as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)
+        return 3
+    except Exception:  # a crash must not read as a verdict of 1
+        sys.excepthook(*sys.exc_info())
         return 3
 
 

@@ -304,13 +304,13 @@ def _independent_search(rows: tuple[int, ...], pool: int, target: int, prefer: i
     largest set, and the vertices in the bitmask ``prefer`` are taken first.
 
     False twins (equal rows) have equal pool degrees and are never adjacent.
-    So on a host with twins the scans step one class at a time: one degree
-    test drops, or passes over, a vertex and its twins left in the pool, and
-    the vertex branched on is still the first of highest degree.  The
-    settle step takes a vertex with its twins in the pool and appends what
-    each pass took in increasing index: the list returned is the one a
-    vertex-by-vertex pass returns.  A twin-free host, or a pool inside
-    vertices 0..14, is scanned vertex by vertex.
+    The scan and the settle step are one loop each, whose step is one vertex
+    when ``twins`` is None (a twin-free host, or a pool inside vertices
+    0..14) and otherwise one class: one degree test drops, or passes over,
+    a vertex and its twins left in the pool, and the vertex branched on is
+    still the first of highest degree.  Settling by class appends what each
+    pass took in increasing index, so the list returned is the one a
+    vertex-by-vertex pass returns.
     """
     # a pool inside vertices 0..14, as on every host of the exhaustive search,
     # is scanned too quickly for a class lookup to pay for itself
@@ -325,26 +325,17 @@ def _independent_search(rows: tuple[int, ...], pool: int, target: int, prefer: i
                 return chosen
             u, udeg, over = -1, -1, 0
             w = p
-            if twins is None:
-                while w:
-                    low = w & -w
-                    c = low.bit_length() - 1
-                    d = (rows[c] & p).bit_count()
-                    if d > slack:
-                        over |= low
-                    elif d > udeg:
-                        u, udeg = c, d
-                    w ^= low
-            else:
-                while w:
-                    c = (w & -w).bit_length() - 1
+            while w:
+                same = w & -w
+                c = same.bit_length() - 1
+                if twins is not None:
                     same = twins[c] & w  # c and its twins not yet scanned
-                    d = (rows[c] & p).bit_count()
-                    if d > slack:
-                        over |= same
-                    elif d > udeg:
-                        u, udeg = c, d
-                    w ^= same
+                d = (rows[c] & p).bit_count()
+                if d > slack:
+                    over |= same
+                elif d > udeg:
+                    u, udeg = c, d
+                w ^= same
             if over:
                 p ^= over
                 continue
@@ -357,21 +348,19 @@ def _independent_search(rows: tuple[int, ...], pool: int, target: int, prefer: i
             # and every isolated vertex make a largest set
             for part in (prefer, -1):
                 w = p & part
-                if twins is None:
-                    while w:
-                        c = (w & -w).bit_length() - 1
-                        chosen.append(c)
-                        p &= ~(rows[c] | (1 << c))
-                        w &= p
-                    continue
                 taken = 0
                 while w:
-                    c = (w & -w).bit_length() - 1
-                    same = twins[c] & w
-                    taken |= same
+                    same = w & -w
+                    c = same.bit_length() - 1
+                    if twins is None:
+                        chosen.append(c)
+                    else:
+                        same = twins[c] & w
+                        taken |= same
                     p &= ~(rows[c] | same)
                     w &= p
-                chosen += [c for c, bit in enumerate(bin(taken)[:1:-1]) if bit == "1"]
+                if taken:
+                    chosen += [c for c, bit in enumerate(bin(taken)[:1:-1]) if bit == "1"]
             if len(chosen) >= target:
                 return chosen
         if not pending:

@@ -363,8 +363,8 @@ class SearchResult(_FrozenRecord):
 
 
 def resolve_cache_dir(explicit: str | Path | None = None) -> Path:
-    """Cache directory: explicit argument, then FULLGRAPH_CACHE, then a user default."""
-    if explicit is not None:
+    """Cache directory: explicit argument, then FULLGRAPH_CACHE, then a user default; "" counts as unset."""
+    if explicit:
         return Path(explicit)
     env = os.environ.get("FULLGRAPH_CACHE")
     if env:

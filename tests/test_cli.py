@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fullgraph import bounds, cli, oracle
+from fullgraph import bounds, cli, oracle, verifier
 from fullgraph.cli import main
 from fullgraph.constructions import h_vs_empty
 from fullgraph.graphs import cycle, from_graph6, to_graph6
@@ -343,6 +343,20 @@ class TestVerify:
         out = capsys.readouterr().out
         assert hashlib.sha1(out.encode()).hexdigest() == "2af4831eb857a81dfda3730308e97dfa251ef741"
 
+    def test_a_crash_exits_three_not_one(self, tmp_path, monkeypatch, capsys):
+        f = tmp_path / "m.g6"
+        f.write_text("A_\n")
+
+        def crash(*args, **kwargs):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(verifier, "is_full", crash)
+        assert main(["verify", str(f), "--patterns", "K2"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("Traceback (most recent call last):\n")
+        assert err.endswith("TypeError: unsupported operand\n")
+
 
 class TestBound:
     def test_egh(self):
@@ -385,6 +399,11 @@ class TestBound:
     def test_edgeless_order_zero_exits_two(self, capsys):
         assert main(["bound", "--patterns", "K3", "--n", "0"]) == 2
         assert "n must be at least 1" in capsys.readouterr().err
+
+    def test_huge_n_exits_two(self, capsys):
+        assert main(["bound", "--patterns", "K3", "--n", "100000000000000000000"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "Traceback" not in err
 
     def test_inconsistent_summary_exits_three(self, monkeypatch, capsys):
         monkeypatch.setattr(bounds.BoundSummary, "violations", lambda self: ["lower 9 exceeds upper 8"])
@@ -435,6 +454,16 @@ class TestSearch:
         p = run("search", "--patterns", "K2,E2", env={"FULLGRAPH_CACHE": str(tmp_path)})
         assert p.returncode == 0
         assert (tmp_path / "f_exact.jsonl").exists()
+
+    def test_empty_cache_dir_counts_as_unset(self, tmp_path, monkeypatch, capsys):
+        work, cache = tmp_path / "work", tmp_path / "cache"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        monkeypatch.setenv("FULLGRAPH_CACHE", str(cache))
+        assert main(["search", "--patterns", "K2,E2", "--cache-dir", ""]) == 0
+        assert json.loads(capsys.readouterr().out)["f"] == 4
+        assert (cache / "f_exact.jsonl").read_text().count("\n") == 1
+        assert list(work.iterdir()) == []
 
     def test_max_order_cap(self, tmp_path):
         p = run("search", "--patterns", "K4,E4", "--max-order", "6",

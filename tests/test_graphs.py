@@ -42,6 +42,8 @@ from fullgraph.graphs import (
     star_center,
     to_graph6,
 )
+from fullgraph.oracle import f_exact
+from fullgraph.patterns import parse_pattern_list
 
 nx = pytest.importorskip("networkx")
 
@@ -502,6 +504,12 @@ class TestTwinMasks:
         capsys.readouterr()
         info = _twin_masks.cache_info()
         assert info.currsize <= 1 and info.misses == 1 and info.hits > 0
+
+    def test_the_exhaustive_search_never_looks_up_a_class(self, tmp_path):
+        # its hosts have at most 9 vertices, so every pool lies inside vertices 0..14
+        _twin_masks.cache_clear()
+        assert f_exact(parse_pattern_list("C5,E3"), cache_dir=tmp_path).f == 7
+        assert _twin_masks.cache_info().misses == 0
 
 
 class TestGraph6:
