@@ -235,9 +235,6 @@ class BoundEntry(_Record):
     ):
         self._set(name, kind, value, applicable, reason, {} if details is None else details)
 
-    def to_dict(self) -> dict:
-        return self._as_dict()
-
 
 class BoundSummary(_Record):
     __slots__ = ("instance", "entries")
@@ -246,7 +243,7 @@ class BoundSummary(_Record):
         self._set(instance, entries)
 
     def to_dict(self) -> dict:
-        return {**self._as_dict(), "best_lower": self.best_lower(), "best_upper": self.best_upper()}
+        return {**super().to_dict(), "best_lower": self.best_lower(), "best_upper": self.best_upper()}
 
     def applicable(self, kind: str) -> list[BoundEntry]:
         return [e for e in self.entries if e.applicable and e.kind == kind]

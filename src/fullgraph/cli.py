@@ -88,10 +88,12 @@ def _read_host(path: str):
     else:
         with open(path) as fh:
             text = fh.read()
-    line = text.strip().splitlines()
-    if not line:
+    tokens = text.split()  # graph6 holds no whitespace, so this takes CRLF and blank lines too
+    if not tokens:
         raise Graph6Error("no graph6 data found", 0)
-    return from_graph6(line[0].strip())
+    if len(tokens) > 1:
+        raise ValueError(f"expected one graph6 string, found {len(tokens)}")
+    return from_graph6(tokens[0])
 
 
 def _cmd_construct(args) -> int:
@@ -178,16 +180,9 @@ def _cmd_bound(args) -> int:
 def _cmd_search(args) -> int:
     from . import oracle
 
-    pats = parse_pattern_list(args.patterns)
-    result = oracle.f_exact(
-        pats,
-        lower_hint=args.lower,
-        upper_hint=args.max_order,
-        cache_dir=args.cache_dir,
-    )
-    payload = result.to_dict()
-    del payload["wall_time"]  # keep reruns byte-identical
-    _emit(payload)
+    result = oracle.f_exact(parse_pattern_list(args.patterns), lower_hint=args.lower,
+                            upper_hint=args.max_order, cache_dir=args.cache_dir)
+    _emit(result.to_dict())
     return 0
 
 

@@ -28,9 +28,6 @@ class ConstructionRecipe(_FrozenRecord):
     def __init__(self, theorem_tag: str, parameters: dict, claimed_order: int):
         self._set(theorem_tag, parameters, claimed_order)
 
-    def to_dict(self) -> dict:
-        return self._as_dict()
-
 
 class _EdgeLedger:
     """Pairwise edge decisions with conflict detection.

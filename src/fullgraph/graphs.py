@@ -29,7 +29,7 @@ class Graph6Error(ValueError):
 def _plain(value):
     """``value`` with every record turned into a dict and every dict, list and tuple copied."""
     if isinstance(value, _Record):
-        return value._as_dict()
+        return value.to_dict()
     if isinstance(value, dict):
         return {k: _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -41,7 +41,7 @@ class _Record:
     """A record whose fields are its ``__slots__``, in the order ``__init__`` takes them.
 
     A record equals one of its own class whose ``_key`` is equal, and it is
-    shown field by field.
+    shown and turned into a dict field by field.
     """
 
     __slots__ = ()
@@ -66,7 +66,7 @@ class _Record:
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
-    def _as_dict(self) -> dict:
+    def to_dict(self) -> dict:
         """Every field by name, sharing no dict, list or tuple with the record."""
         return {name: _plain(getattr(self, name)) for name in self.__slots__}
 

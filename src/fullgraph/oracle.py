@@ -45,8 +45,8 @@ backwards for that head at the start of a line; it parses each such line
 whole, checks its key, and returns the first well-formed record, the newest.
 Nothing is kept between lookups.  A line that spells a key otherwise (a
 repeated or escaped member name, unescaped non-ASCII) is no record of it.
-The search re-checks the witness of every record it is handed; one that
-fails counts as a miss, so the search runs and its record becomes the newest.
+The search re-checks every record it is handed (``_record_holds``); one that
+fails is a miss.  Records hold no timing: equal searches append equal lines.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from __future__ import annotations
 import json
 import os
 import struct
-import time
 from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
@@ -317,8 +316,7 @@ def enumerate_graphs(order: int) -> Iterator[Graph]:
 
 
 class SearchResult(_FrozenRecord):
-    __slots__ = ("patterns", "f", "witness", "exhausted_orders", "examined", "exhaustive", "note",
-                 "wall_time")
+    __slots__ = ("patterns", "f", "witness", "exhausted_orders", "examined", "exhaustive", "note")
 
     def __init__(
         self,
@@ -329,37 +327,20 @@ class SearchResult(_FrozenRecord):
         examined: dict[int, int],           # order -> graphs examined
         exhaustive: bool,
         note: str = "",
-        wall_time: float = 0.0,
     ):
-        self._set(patterns, f, witness, exhausted_orders, examined, exhaustive, note, wall_time)
-
-    def _key(self) -> tuple:
-        return super()._key()[:-1]  # results equal but for wall_time are equal
+        self._set(patterns, f, witness, exhausted_orders, examined, exhaustive, note)
 
     def to_dict(self) -> dict:
-        return {
-            "patterns": list(self.patterns),
-            "f": self.f,
-            "witness": self.witness,
-            "exhausted_orders": list(self.exhausted_orders),
-            "examined": {str(k): v for k, v in sorted(self.examined.items())},
-            "exhaustive": self.exhaustive,
-            "note": self.note,
-            "wall_time": self.wall_time,
-        }
+        return {**super().to_dict(), "patterns": list(self.patterns),
+                "exhausted_orders": list(self.exhausted_orders),
+                "examined": {str(k): v for k, v in sorted(self.examined.items())}}
 
     @classmethod
     def from_dict(cls, data: dict) -> "SearchResult":
-        return cls(
-            patterns=tuple(data["patterns"]),
-            f=data["f"],
-            witness=data["witness"],
-            exhausted_orders=tuple(data["exhausted_orders"]),
-            examined={int(k): v for k, v in data["examined"].items()},
-            exhaustive=data["exhaustive"],
-            note=data.get("note", ""),
-            wall_time=data.get("wall_time", 0.0),
-        )
+        return cls(patterns=tuple(data["patterns"]), f=data["f"], witness=data["witness"],
+                   exhausted_orders=tuple(data["exhausted_orders"]),
+                   examined={int(k): v for k, v in data["examined"].items()},
+                   exhaustive=data["exhaustive"], note=data.get("note", ""))
 
 
 def resolve_cache_dir(explicit: str | Path | None = None) -> Path:
@@ -409,17 +390,22 @@ def _cache_store(cache_dir: Path, key: str, result: SearchResult) -> None:
         os.close(fd)
 
 
-def _witness_holds(result: SearchResult, patterns: list[Graph], lo: int, hi: int) -> bool:
-    """Whether a cached result's witness is a full host of order f within lo..hi, or both are null."""
-    if result.f is None or result.witness is None:
-        return result.f is None and result.witness is None
-    if not isinstance(result.witness, str):
-        return False
-    try:
-        g = from_graph6(result.witness)
-    except Graph6Error:
-        return False
-    return g.order == result.f and lo <= g.order <= hi and is_full(g, patterns, stop_at_gap=True).verdict
+def _record_holds(result: SearchResult, patterns: list[Graph], canon: tuple, lo: int, hi: int) -> bool:
+    """Whether a cached result is what the search of ``canon`` over lo..hi returns (see ``f_exact``)."""
+    f, last = result.f, min(hi, ENUMERATION_ORDER_CAP)
+    if f is not None or result.witness is not None:
+        try:
+            g = from_graph6(result.witness)
+        except (Graph6Error, AttributeError):  # malformed, or not a string
+            return False
+        if not (g.order == f and lo <= f <= hi and is_full(g, patterns, stop_at_gap=True).verdict):
+            return False
+        last = g.order
+    scanned = list(range(lo, last + 1))
+    return (result.patterns == canon
+            and list(result.exhausted_orders) == (scanned if f is None else scanned[:-1])
+            and sorted(result.examined) == scanned
+            and result.exhaustive == (f is not None or hi <= ENUMERATION_ORDER_CAP))
 
 
 def _degree_window(pattern: Graph, n: int) -> int:
@@ -460,9 +446,12 @@ def f_exact(
     search asked to go beyond returns a non-exhaustive result rather than a
     certificate.
 
-    A cached record is returned only when its witness decodes to a full host
-    of order f within the searched orders, or when f and the witness are
-    both null; any other record is a miss, and the search appends a fresh one.
+    A cached record is returned only when it is what this search returns:
+    its patterns are the canonical forms; its witness is a full host of order
+    f within lo..hi, or f and the witness are both null; it examined every
+    order from lo to f, or to min(hi, 9) when f is null, and exhausted all but
+    f; and it is exhaustive unless f is null and hi is above 9.  Any other
+    record is a miss, and the search appends a fresh one.
     """
     check_patterns(patterns)
     hi = ENUMERATION_ORDER_CAP if upper_hint is None else upper_hint
@@ -480,12 +469,11 @@ def f_exact(
     # made before the scan, so a directory that cannot be made costs no search
     cdir.mkdir(parents=True, exist_ok=True)
     cached = _cache_lookup(cdir, key)
-    if cached is not None and _witness_holds(cached, patterns, lo, hi):
+    if cached is not None and _record_holds(cached, patterns, canon, lo, hi):
         return cached
     # opened for appending before the scan too, so a file that cannot be written costs no search
     os.close(os.open(_cache_file(cdir), os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666))
 
-    t0 = time.perf_counter()
     examined: dict[int, int] = {}
     exhausted: list[int] = []
     f_value: int | None = None
@@ -522,7 +510,6 @@ def f_exact(
         examined=examined,
         exhaustive=exhaustive,
         note=note,
-        wall_time=time.perf_counter() - t0,
     )
     _cache_store(cdir, key, result)
     return result

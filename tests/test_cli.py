@@ -304,6 +304,31 @@ class TestVerify:
         p = run("verify", "-", "--patterns", "K2", stdin="A_\n")
         assert p.returncode == 0
 
+    def test_more_than_one_graph_exits_two(self, tmp_path, capsys):
+        f = tmp_path / "h.g6"
+        f.write_text("Dhc\nDhc\n")
+        assert main(["verify", str(f), "--patterns", "C5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "expected one graph6 string, found 2" in captured.err
+        p = run("verify", "-", "--patterns", "K2", stdin="A_\n\nA_ A_\n")
+        assert p.returncode == 2
+        assert "found 3" in p.stderr
+
+    @pytest.mark.parametrize("text", ["Dhc", "Dhc\r\n", "\n\nDhc\n\n", "\r\n  Dhc\t\r\n\r\n"])
+    def test_one_graph_among_blank_lines_is_read(self, tmp_path, capsys, text):
+        f = tmp_path / "h.g6"
+        f.write_bytes(text.encode())
+        assert main(["verify", str(f), "--patterns", "C5"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] is True
+
+    @pytest.mark.parametrize("text", ["", "\n", " \r\n\r\n"])
+    def test_no_graph_exits_two(self, tmp_path, capsys, text):
+        f = tmp_path / "h.g6"
+        f.write_bytes(text.encode())
+        assert main(["verify", str(f), "--patterns", "C5"]) == 2
+        assert "no graph6 data found" in capsys.readouterr().err
+
     def test_missing_file_exits_two(self):
         p = run("verify", "/nonexistent/host.g6", "--patterns", "K2")
         assert p.returncode == 2
@@ -424,6 +449,22 @@ class TestSearch:
         p1 = run("search", "--patterns", "K2,E2", "--cache-dir", str(tmp_path))
         p2 = run("search", "--patterns", "K2,E2", "--cache-dir", str(tmp_path))
         assert p1.stdout == p2.stdout
+
+    def test_a_record_with_a_wall_time_prints_as_a_fresh_search(self, tmp_path, capsys):
+        # records were once written with the search's wall time, which no answer reads
+        old = tmp_path / "old"
+        old.mkdir()
+        line = ('{"key": "{\\"hi\\": 9, \\"lo\\": 5, \\"patterns\\": [\\"B?\\", \\"DLo\\"], '
+                '\\"version\\": 3}", "result": {"examined": {"5": 34, "6": 156, "7": 385}, '
+                '"exhausted_orders": [5, 6], "exhaustive": true, "f": 7, "note": "", '
+                '"patterns": ["B?", "DLo"], "wall_time": 0.125, "witness": "FCR`o"}}\n')
+        (old / "f_exact.jsonl").write_text(line)
+        assert main(["search", "--patterns", "C5,E3", "--cache-dir", str(old)]) == 0
+        hit = capsys.readouterr().out
+        assert (old / "f_exact.jsonl").read_text() == line
+        assert main(["search", "--patterns", "C5,E3", "--cache-dir", str(tmp_path / "cold")]) == 0
+        assert capsys.readouterr().out == hit
+        assert json.loads(hit)["f"] == 7
 
     def test_malformed_cache_records_are_skipped(self, tmp_path):
         first = run("search", "--patterns", "K2,E2", "--cache-dir", str(tmp_path))

@@ -629,10 +629,8 @@ PINNED_ANSWERS = {
 
 
 def answer_digest(result):
-    """Digest of f, witness and examined counts per order: the result less its wall time."""
-    data = result.to_dict()
-    del data["wall_time"]
-    return hashlib.sha1(json.dumps(data, sort_keys=True).encode()).hexdigest()[:12]
+    """Digest of f, witness and examined counts per order: the whole result."""
+    return hashlib.sha1(json.dumps(result.to_dict(), sort_keys=True).encode()).hexdigest()[:12]
 
 
 class TestFExact:
@@ -817,22 +815,71 @@ class TestCache:
         {"f": 0, "witness": "?"},          # the order-0 host is vacuously full
     ])
     def test_a_hit_whose_witness_fails_is_a_miss(self, tmp_path, change):
-        good = f_exact([complete(2), empty(2)], cache_dir=tmp_path)
-        cache_file = tmp_path / "f_exact.jsonl"
+        self.assert_forged_record_is_a_miss(tmp_path, [complete(2), empty(2)], {}, change)
+
+    @staticmethod
+    def assert_forged_record_is_a_miss(cache_dir, patterns, hints, change):
+        """A search's record with ``change`` applied is a miss: the search runs and appends its own."""
+        good = f_exact(patterns, cache_dir=cache_dir, **hints)
+        cache_file = cache_dir / "f_exact.jsonl"
         key = json.loads(cache_file.read_text())["key"]
         cache_file.unlink()
         stored = {**good.to_dict(), **change}
-        _cache_store(tmp_path, key, SearchResult.from_dict(stored))
-        assert _cache_lookup(tmp_path, key).to_dict() == stored
-        r = f_exact([complete(2), empty(2)], cache_dir=tmp_path)
+        _cache_store(cache_dir, key, SearchResult.from_dict(stored))
+        assert _cache_lookup(cache_dir, key).to_dict() == stored
+        r = f_exact(patterns, cache_dir=cache_dir, **hints)
         assert answer_digest(r) == answer_digest(good)
+        assert r == good
         lines = cache_file.read_text().splitlines()
         assert len(lines) == 2
         assert json.loads(lines[1])["result"] == r.to_dict()
         # the fresh record is the newest, so the next call hits it and writes nothing
         data = cache_file.read_bytes()
-        assert f_exact([complete(2), empty(2)], cache_dir=tmp_path) == r
+        assert f_exact(patterns, cache_dir=cache_dir, **hints) == r
         assert cache_file.read_bytes() == data
+
+    @pytest.mark.parametrize("patterns,hints,change", [
+        # another instance's patterns and counts around a witness that holds
+        ([cycle(5), empty(3)], {},
+         {"patterns": ["B?", "Dhc"], "examined": {"5": 1, "6": 2, "7": 999}, "exhausted_orders": []}),
+        ([cycle(5), empty(3)], {}, {"patterns": ["B?", "Dhc"]}),
+        ([cycle(5), empty(3)], {}, {"patterns": ["DLo"]}),
+        ([cycle(5), empty(3)], {}, {"examined": {"5": 34, "6": 156}}),
+        ([cycle(5), empty(3)], {}, {"examined": {"5": 34, "6": 156, "7": 385, "8": 1}}),
+        ([cycle(5), empty(3)], {}, {"examined": {"4": 1, "5": 34, "6": 156, "7": 385}}),
+        ([cycle(5), empty(3)], {}, {"exhausted_orders": [5]}),
+        ([cycle(5), empty(3)], {}, {"exhausted_orders": [5, 6, 7]}),
+        ([cycle(5), empty(3)], {}, {"exhaustive": False}),
+        # no answer up to hi: every order through hi is examined and exhausted
+        ([complete(4), empty(4)], {"upper_hint": 6}, {"examined": {"4": 11, "5": 34}}),
+        ([complete(4), empty(4)], {"upper_hint": 6}, {"exhausted_orders": [4, 5]}),
+        ([complete(4), empty(4)], {"upper_hint": 6}, {"exhaustive": False}),
+        # orders past the enumeration cap: nothing is examined, and the result is not exhaustive
+        ([complete(2), empty(2)], {"lower_hint": 10, "upper_hint": 11}, {"exhaustive": True}),
+        ([complete(2), empty(2)], {"lower_hint": 10, "upper_hint": 11}, {"examined": {"10": 1}}),
+        ([complete(2), empty(2)], {"lower_hint": 10, "upper_hint": 11}, {"exhausted_orders": [10, 11]}),
+    ])
+    def test_a_hit_that_does_not_match_its_key_is_a_miss(self, tmp_path, patterns, hints, change):
+        self.assert_forged_record_is_a_miss(tmp_path, patterns, hints, change)
+
+    def test_cold_searches_write_the_same_bytes(self, tmp_path):
+        for name in ("a", "b"):
+            f_exact([cycle(5), empty(3)], cache_dir=tmp_path / name)
+            f_exact([complete(4), empty(4)], upper_hint=6, cache_dir=tmp_path / name)
+        data = (tmp_path / "a" / "f_exact.jsonl").read_bytes()
+        assert len(data.splitlines()) == 2
+        assert (tmp_path / "b" / "f_exact.jsonl").read_bytes() == data
+
+    def test_a_record_with_a_wall_time_is_a_hit(self, tmp_path):
+        # records were once written with the search's wall time, which no answer reads
+        line = ('{"key": "{\\"hi\\": 9, \\"lo\\": 5, \\"patterns\\": [\\"B?\\", \\"DLo\\"], '
+                '\\"version\\": 3}", "result": {"examined": {"5": 34, "6": 156, "7": 385}, '
+                '"exhausted_orders": [5, 6], "exhaustive": true, "f": 7, "note": "", '
+                '"patterns": ["B?", "DLo"], "wall_time": 0.125, "witness": "FCR`o"}}\n')
+        (tmp_path / "f_exact.jsonl").write_text(line)
+        r = f_exact([cycle(5), empty(3)], cache_dir=tmp_path)
+        assert (tmp_path / "f_exact.jsonl").read_text() == line
+        assert r == f_exact([cycle(5), empty(3)], cache_dir=tmp_path / "cold")
 
     def test_a_hit_with_no_answer_is_kept(self, tmp_path):
         # f and witness both null: nothing to re-check, so the record is answered
@@ -857,7 +904,7 @@ class TestCache:
         second = f_exact([relabeled(star(4), [3, 1, 0, 2]), relabeled(path(4), [2, 0, 3, 1])], cache_dir=tmp_path)
         lines = (tmp_path / "f_exact.jsonl").read_text().splitlines()
         assert len(lines) == 1
-        assert second.to_dict() == first.to_dict()  # the stored record, wall_time included
+        assert second.to_dict() == first.to_dict()  # the stored record
         assert f_exact([star(4), path(4)], cache_dir=tmp_path) == first
         assert _pattern_form.cache_info().hits >= hits + 2
 
@@ -901,9 +948,8 @@ INDEX_KEYS = [json.dumps({"hi": 9, "lo": lo, "patterns": ["A_", "Bw"]}, sort_key
 INDEX_RESULTS = [
     SearchResult(patterns=("A_", "Bw"), f=f, witness="Cr" if f else None,
                  exhausted_orders=tuple(range(2, f or 5)), examined={2: 2, 3: f or 4},
-                 exhaustive=f is not None, note="" if f else "no qualifying graph",
-                 wall_time=0.125 * (i + 1))
-    for i, f in enumerate((4, 5, None))
+                 exhaustive=f is not None, note="" if f else "no qualifying graph")
+    for f in (4, 5, None)
 ]
 
 
@@ -953,12 +999,12 @@ class TestCacheIndex:
     def test_store_spelling_is_pinned(self, tmp_path):
         # the lookup finds a record by the bytes its line starts with
         result = SearchResult(patterns=("A_", "Bw"), f=4, witness="Cr", exhausted_orders=(2, 3),
-                              examined={2: 2, 3: 4}, exhaustive=True, wall_time=0.125)
+                              examined={2: 2, 3: 4}, exhaustive=True)
         _cache_store(tmp_path, 'caf\u00e9 "q"', result)
         assert (tmp_path / "f_exact.jsonl").read_bytes() == (
             b'{"key": "caf\\u00e9 \\"q\\"", "result": {"examined": {"2": 2, "3": 4}, '
             b'"exhausted_orders": [2, 3], "exhaustive": true, "f": 4, "note": "", '
-            b'"patterns": ["A_", "Bw"], "wall_time": 0.125, "witness": "Cr"}}\n')
+            b'"patterns": ["A_", "Bw"], "witness": "Cr"}}\n')
         assert (tmp_path / "f_exact.jsonl").read_bytes().startswith(store_head('caf\u00e9 "q"'))
 
     @staticmethod

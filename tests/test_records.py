@@ -19,7 +19,7 @@ from fullgraph.verifier import FullnessReport, PatternCoverage, is_full
 
 def _search_result(**changes):
     fields = dict(patterns=("A_", "A?"), f=4, witness="C]", exhausted_orders=(2, 3),
-                  examined={2: 2, 3: 4, 4: 3}, exhaustive=True, note="n", wall_time=0.5)
+                  examined={2: 2, 3: 4, 4: 3}, exhaustive=True, note="n")
     fields.update(changes)
     return SearchResult(**fields)
 
@@ -31,9 +31,9 @@ def _coverage():
 # class, positional fields, the same by keyword
 RECORDS = [
     (Graph, (3, (2, 5, 2)), dict(order=3, rows=(2, 5, 2))),
-    (SearchResult, (("A_",), 2, "A_", (1,), {1: 1, 2: 1}, True, "x", 1.5),
+    (SearchResult, (("A_",), 2, "A_", (1,), {1: 1, 2: 1}, True, "x"),
      dict(patterns=("A_",), f=2, witness="A_", exhausted_orders=(1,), examined={1: 1, 2: 1},
-          exhaustive=True, note="x", wall_time=1.5)),
+          exhaustive=True, note="x")),
     (PatternCoverage, ("A_", {0: {0: 0}}, (1,)),
      dict(pattern_g6="A_", witnesses={0: {0: 0}}, uncovered=(1,))),
     (FullnessReport, (3, ()), dict(host_order=3, coverages=())),
@@ -70,7 +70,7 @@ class TestConstruction:
     def test_search_result_defaults(self):
         r = SearchResult(("A_",), None, None, (), {}, False)
         assert r.note == ""
-        assert r.wall_time == 0.0
+        assert not hasattr(r, "wall_time")
         with pytest.raises(TypeError):
             SearchResult(("A_",), None, None, (), {})
 
@@ -102,12 +102,6 @@ class TestEquality:
         assert Graph(2, (0, 0)) != Graph(3, (0, 0, 0))
         assert path(3) != (3, (2, 5, 2))
         assert not path(3) == "P3"
-
-    def test_search_result_ignores_wall_time(self):
-        assert _search_result(wall_time=0.1) == _search_result(wall_time=9.0)
-        for change in [dict(f=5), dict(witness=None), dict(note=""), dict(exhaustive=False),
-                       dict(examined={2: 2}), dict(exhausted_orders=(2,)), dict(patterns=("A_",))]:
-            assert _search_result(**change) != _search_result(), change
 
     def test_resolvable_design(self):
         assert affine_plane(3) == affine_plane(3)
@@ -263,11 +257,12 @@ class TestToDict:
     def test_search_result(self):
         d = _search_result().to_dict()
         assert list(d) == ["patterns", "f", "witness", "exhausted_orders", "examined", "exhaustive",
-                           "note", "wall_time"]
+                           "note"]
         assert d == {"patterns": ["A_", "A?"], "f": 4, "witness": "C]", "exhausted_orders": [2, 3],
-                     "examined": {"2": 2, "3": 4, "4": 3}, "exhaustive": True, "note": "n",
-                     "wall_time": 0.5}
+                     "examined": {"2": 2, "3": 4, "4": 3}, "exhaustive": True, "note": "n"}
         assert SearchResult.from_dict(d) == _search_result()
+        # a record written with the retired wall_time member reads as the same result
+        assert SearchResult.from_dict({**d, "wall_time": 0.125}) == _search_result()
 
     def test_design(self):
         d = ResolvableDesign(4, 2, (((0, 1), (2, 3)), ((0, 2), (1, 3)))).to_dict()
