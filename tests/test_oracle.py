@@ -870,19 +870,8 @@ class TestCache:
         assert len(data.splitlines()) == 2
         assert (tmp_path / "b" / "f_exact.jsonl").read_bytes() == data
 
-    def test_a_record_with_a_wall_time_is_a_hit(self, tmp_path):
-        # records were once written with the search's wall time, which no answer reads
-        line = ('{"key": "{\\"hi\\": 9, \\"lo\\": 5, \\"patterns\\": [\\"B?\\", \\"DLo\\"], '
-                '\\"version\\": 3}", "result": {"examined": {"5": 34, "6": 156, "7": 385}, '
-                '"exhausted_orders": [5, 6], "exhaustive": true, "f": 7, "note": "", '
-                '"patterns": ["B?", "DLo"], "wall_time": 0.125, "witness": "FCR`o"}}\n')
-        (tmp_path / "f_exact.jsonl").write_text(line)
-        r = f_exact([cycle(5), empty(3)], cache_dir=tmp_path)
-        assert (tmp_path / "f_exact.jsonl").read_text() == line
-        assert r == f_exact([cycle(5), empty(3)], cache_dir=tmp_path / "cold")
-
     def test_a_hit_with_no_answer_is_kept(self, tmp_path):
-        # f and witness both null: nothing to re-check, so the record is answered
+        # f and witness both null: no witness to re-check, and the orders match the key
         r = f_exact([complete(4), empty(4)], upper_hint=6, cache_dir=tmp_path)
         assert r.f is None and r.witness is None
         data = (tmp_path / "f_exact.jsonl").read_bytes()

@@ -103,6 +103,12 @@ class TestEquality:
         assert path(3) != (3, (2, 5, 2))
         assert not path(3) == "P3"
 
+    def test_search_result(self):
+        assert _search_result() == _search_result()
+        for change in [dict(f=5), dict(witness=None), dict(note=""), dict(exhaustive=False),
+                       dict(examined={2: 2}), dict(exhausted_orders=(2,)), dict(patterns=("A_",))]:
+            assert _search_result(**change) != _search_result(), change
+
     def test_resolvable_design(self):
         assert affine_plane(3) == affine_plane(3)
         assert affine_plane(3) == ResolvableDesign(9, 3, affine_plane(3).classes)
