@@ -828,7 +828,6 @@ class TestCache:
         _cache_store(cache_dir, key, SearchResult.from_dict(stored))
         assert _cache_lookup(cache_dir, key).to_dict() == stored
         r = f_exact(patterns, cache_dir=cache_dir, **hints)
-        assert answer_digest(r) == answer_digest(good)
         assert r == good
         lines = cache_file.read_text().splitlines()
         assert len(lines) == 2
