@@ -18,7 +18,6 @@ from .graphs import (
     _Record,
     alpha_with_vertex,
     check_patterns,
-    complement,
     empty,
     is_complete_graph,
     is_empty_graph,
@@ -301,15 +300,16 @@ def summarize(patterns: list[Graph], n: int | None = None) -> BoundSummary:
 
     if t == 2:
         h1, h2 = patterns
-        c1, c2 = complement(h1), complement(h2)
-        for label, a, b in (("", h1, h2), ("_swapped", h2, h1),
+        # (min degree, max degree, order) of each pattern, then of its complement
+        g1, g2 = ((min_degree(h), max_degree(h), h.order) for h in patterns)
+        c1, c2 = ((k - 1 - big, k - 1 - delta, k) for delta, big, k in (g1, g2))
+        for label, a, b in (("", g1, g2), ("_swapped", g2, g1),
                             ("_complement", c1, c2), ("_complement_swapped", c2, c1)):
             name = f"min_max_degree_lower{label}"
-            delta = min_degree(a)
-            big = max_degree(b)
+            delta, big, order = a[0], b[1], b[2]
             if 2 * big < delta:
-                entries.append(BoundEntry(name, "lower", general_lower_bound(delta, big, b.order), True,
-                                          details={"delta": delta, "max_degree": big, "n": b.order}))
+                entries.append(BoundEntry(name, "lower", general_lower_bound(delta, big, order), True,
+                                          details={"delta": delta, "max_degree": big, "n": order}))
             else:
                 entries.append(BoundEntry(name, "lower", None, False,
                                           reason=f"needs 2*max_degree < min_degree; got 2*{big} >= {delta}"))

@@ -11,7 +11,6 @@ invariant breach or any other unexpected exception (with its traceback).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
 
@@ -69,17 +68,16 @@ def _chunks(o, nl: str, encoded: dict):
         yield text
 
 
-def _emit(payload: dict, out: str | None = None) -> None:
-    """Write ``json.dump(payload, fh, sort_keys=True, indent=2)`` and a newline to file ``out`` or stdout.
+def _emit(payload: dict) -> None:
+    """Write ``json.dump(payload, sys.stdout, sort_keys=True, indent=2)`` and a newline.
 
     With ``indent`` set, ``json`` encodes in pure Python and writes every
     token by itself; this writes a list of scalars in one piece, spelled by
     the C encoder, and encodes a list object that recurs once.  Dict keys
     must be str.
     """
-    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
-        fh.writelines(_chunks(payload, "\n", {}))
-        fh.write("\n")
+    sys.stdout.writelines(_chunks(payload, "\n", {}))
+    sys.stdout.write("\n")
 
 
 def _read_host(path: str):
@@ -135,10 +133,7 @@ def _cmd_construct(args) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(g6 + "\n")
-    recipe_dict = recipe.to_dict()
-    if args.recipe_out:
-        _emit(recipe_dict, args.recipe_out)
-    _emit({"graph6": g6, "order": g.order, "recipe": recipe_dict, "verified": verified})
+    _emit({"graph6": g6, "order": g.order, "recipe": recipe.to_dict(), "verified": verified})
     if verified is False:
         print("verification failed: construction is not full for its patterns", file=sys.stderr)
         return 1
@@ -193,11 +188,7 @@ def _cmd_design(args) -> int:
     problems = designs.validate_design(plane)
     if problems:
         raise InternalInvariantError("; ".join(problems))
-    payload = plane.to_dict()
-    payload["valid"] = True
-    if args.out:
-        _emit(payload, args.out)
-    _emit(payload)
+    _emit({**plane.to_dict(), "valid": True})
     return 0
 
 
@@ -218,7 +209,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--r", type=int, help="h_vs_empty construction: block count")
     c.add_argument("--q", type=int, help="design construction: affine plane order")
     c.add_argument("--out", help="write the graph6 string to this file")
-    c.add_argument("--recipe-out", help="write the recipe JSON to this file")
     c.add_argument("--verify", action=argparse.BooleanOptionalAction, default=True)
     c.set_defaults(func=_cmd_construct)
 
@@ -246,7 +236,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("design", help="emit an affine plane as JSON")
     d.add_argument("--q", type=int, required=True)
-    d.add_argument("--out")
     d.set_defaults(func=_cmd_design)
     return parser
 

@@ -9,9 +9,6 @@ point pair exactly once.
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import combinations
-
 from .graphs import _FrozenRecord
 
 
@@ -122,10 +119,20 @@ def affine_plane(q: int) -> ResolvableDesign:
     return ResolvableDesign(q * q, q, tuple(classes))
 
 
+def _bit_indices(x: int):
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
 def validate_design(d: ResolvableDesign) -> list[str]:
     """Check the resolvability and pair-coverage invariants; empty list = valid."""
     problems = []
-    points = set(range(d.point_count))
+    n = d.point_count
+    points = set(range(n))
+    mates = [0] * n  # bit b > a of mates[a] is set once a block has held both a and b
+    met = {}  # pair -> number of blocks holding both, for pairs not met exactly once
     for ci, cls in enumerate(d.classes):
         seen: set[int] = set()
         for block in cls:
@@ -138,14 +145,21 @@ def validate_design(d: ResolvableDesign) -> list[str]:
             if overlap:
                 problems.append(f"class {ci}: point(s) {sorted(overlap)} appear in more than one block")
             seen.update(block)
+            inside = points.intersection(block)
+            bits = sum(1 << v for v in inside)
+            for a in inside:
+                above = bits >> (a + 1) << (a + 1)
+                for b in _bit_indices(mates[a] & above):
+                    met[a, b] = met.get((a, b), 1) + 1
+                mates[a] |= above
         missing = points - seen
         if missing:
             problems.append(f"class {ci}: point(s) {sorted(missing)} not covered")
-    counts = Counter(pair for cls in d.classes for block in cls
-                     for pair in combinations(sorted(set(block)), 2))
-    for pair in combinations(range(d.point_count), 2):
-        if counts[pair] != 1:
-            problems.append(f"pair {pair} covered {counts[pair]} times")
+    for a in range(n):
+        for b in _bit_indices(~mates[a] & ((1 << n) - (2 << a))):
+            met[a, b] = 0
+    for pair in sorted(met):
+        problems.append(f"pair {pair} covered {met[pair]} times")
     if d.block_size > 1:
         expected, rem = divmod(d.point_count - 1, d.block_size - 1)
         if rem or len(d.classes) != expected:

@@ -1,6 +1,38 @@
-"""The package's public names."""
+"""The package's public names, and the README's Quick tour run as written."""
+
+import os
+import re
+import subprocess
+import sys
+from importlib import import_module
+from pathlib import Path
+
+import pytest
 
 import fullgraph
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# what a caller calls, constructs or catches
+PUBLIC = {
+    "Graph", "Graph6Error", "ResolvableDesign", "affine_plane", "complete_bipartite_full",
+    "cyclic_full", "delta_zero_construction", "design_full", "egh_formula", "enumerate_graphs",
+    "f_exact", "from_graph6", "h_vs_empty", "is_full", "parse_pattern", "parse_pattern_list",
+    "recheck_witness", "star_exact", "star_full", "summarize", "to_graph6",
+}
+
+# names the root no longer exports -> the module that still defines them
+MODULE_ONLY = {
+    "ConstructionRecipe": "constructions",
+    "FullnessReport": "verifier",
+    "SearchResult": "oracle",
+    "cyclic_upper": "bounds",
+    "delta_zero_exact": "bounds",
+    "design_upper": "bounds",
+    "general_lower_bound": "bounds",
+    "h_vs_empty_upper": "bounds",
+    "star_closed_form": "bounds",
+}
 
 
 def test_star_import_binds_exactly_all():
@@ -8,7 +40,33 @@ def test_star_import_binds_exactly_all():
     exec("from fullgraph import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(set(fullgraph.__all__))
-    assert len(fullgraph.__all__) == len(namespace) <= 30
+    assert len(fullgraph.__all__) == len(namespace)
     for name, value in namespace.items():
         assert value is getattr(fullgraph, name)
         assert getattr(value, "__module__", "").startswith("fullgraph."), name
+
+
+def test_all_is_the_public_names():
+    assert len(fullgraph.__all__) == 21
+    assert set(fullgraph.__all__) == PUBLIC
+
+
+@pytest.mark.parametrize("name,module", sorted(MODULE_ONLY.items()))
+def test_module_only_names_stay_in_their_modules(name, module):
+    assert hasattr(import_module(f"fullgraph.{module}"), name)
+    assert name not in fullgraph.__all__
+    with pytest.raises(ImportError):
+        exec(f"from fullgraph import {name}", {})
+
+
+def test_readme_quick_tour_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    tour = readme[readme.index("## Quick tour"):]
+    code = re.search(r"```python\n(.*?)```", tour, re.S).group(1)
+    env = dict(os.environ, FULLGRAPH_CACHE=str(tmp_path / "cache"),
+               PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    p = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                       cwd=tmp_path, timeout=300)
+    assert p.returncode == 0, p.stderr
+    # the values the tour's comments state
+    assert p.stdout.splitlines()[:3] == ["8", "True", "8"]

@@ -337,6 +337,19 @@ class TestSummarize:
         if n >= 2:
             assert entry["value"] == delta_zero_exact(h, n)
 
+    def test_complement_entries_build_no_complement(self, monkeypatch):
+        # the complement entries read co-H's degrees off H, so E_1000 is the only large graph built
+        orders = []
+        check = Graph.__post_init__
+        monkeypatch.setattr(Graph, "__post_init__", lambda g: (orders.append(g.order), check(g)))
+        s = summarize([cycle(5)], 1000)
+        assert [k for k in orders if k >= 1000] == [1000]
+        lower = {e.name: e for e in s.entries if e.name.startswith("min_max_degree_lower")}
+        assert list(lower) == ["min_max_degree_lower", "min_max_degree_lower_swapped",
+                               "min_max_degree_lower_complement", "min_max_degree_lower_complement_swapped"]
+        # co-C5 is C5 and co-E1000 is K1000: min degree 2 against max degree 999
+        assert lower["min_max_degree_lower_complement"].reason == "needs 2*max_degree < min_degree; got 2*999 >= 2"
+
     def test_complete_vs_empty_closes(self):
         s = summarize([complete(2)], n=5)
         assert s.best_lower() == 9

@@ -146,14 +146,20 @@ class TestConstruct:
 
     def test_out_files(self, tmp_path):
         g6 = tmp_path / "g.g6"
-        rec = tmp_path / "r.json"
-        p = run("construct", "--theorem", "cyclic", "--patterns", "K2,E2",
-                "--out", str(g6), "--recipe-out", str(rec))
+        p = run("construct", "--theorem", "cyclic", "--patterns", "K2,E2", "--out", str(g6))
         assert p.returncode == 0
         host = from_graph6(g6.read_text().strip())
         assert host.order == 4
-        recipe = json.loads(rec.read_text())
-        assert recipe["claimed_order"] == 4
+        assert g6.read_text() == json.loads(p.stdout)["graph6"] + "\n"
+
+    def test_recipe_out_is_a_usage_error(self, tmp_path, capsys):
+        rec = tmp_path / "r.json"
+        argv = ["construct", "--theorem", "star", "--m", "4", "--n", "9", "--recipe-out", str(rec)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --recipe-out" in captured.err
+        assert not rec.exists()
 
     def test_precondition_error_exits_two(self):
         p = run("construct", "--theorem", "star", "--m", "3", "--n", "2")
@@ -171,13 +177,6 @@ class TestConstruct:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
-
-    def test_recipe_file_is_the_printed_recipe(self, tmp_path, capsys):
-        rec = tmp_path / "r.json"
-        assert main(["construct", "--theorem", "star", "--m", "4", "--n", "9", "--recipe-out", str(rec)]) == 0
-        printed = json.loads(capsys.readouterr().out)["recipe"]
-        assert json.loads(rec.read_text()) == printed
-        assert rec.read_text() == json.dumps(printed, sort_keys=True, indent=2) + "\n"
 
     def test_explicit_verify_is_the_default(self, capsys):
         argv = ["construct", "--theorem", "cyclic", "--patterns", "K3,E3"]
@@ -569,12 +568,13 @@ class TestDesignCommand:
         assert out["points"] == 9
         assert len(out["classes"]) == 4
 
-    def test_out_file(self, tmp_path):
+    def test_out_is_a_usage_error(self, tmp_path, capsys):
         f = tmp_path / "plane.json"
-        p = run("design", "--q", "2", "--out", str(f))
-        assert p.returncode == 0
-        data = json.loads(f.read_text())
-        assert data["points"] == 4
+        assert main(["design", "--q", "2", "--out", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --out" in captured.err
+        assert not f.exists()
 
     def test_unsupported_order_exits_two(self):
         p = run("design", "--q", "6")

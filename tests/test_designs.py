@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import tracemalloc
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -134,6 +137,32 @@ class TestValidator:
         bad = ResolvableDesign(4, 2, (((0, 0), (1, 2)),))
         errs = validate_design(bad)
         assert errs
+
+    def test_pair_messages_match_a_pair_count(self):
+        # the messages of counting every pair of every block, then walking all pairs in order
+        d = affine_plane(4)
+        designs = [
+            ResolvableDesign(16, 4, d.classes[1:] + d.classes[:2]),
+            ResolvableDesign(16, 4, (((0, 0, 1, 17), (2, 3, 2, 3)),) + d.classes[2:]),
+            ResolvableDesign(5, 2, (((0, 1), (0, 1), (1, 4), (-1, 4)),)),
+        ]
+        for design in designs:
+            counts = Counter(pair for cls in design.classes for block in cls
+                             for pair in combinations(sorted(set(block)), 2))
+            expected = [f"pair {pair} covered {counts[pair]} times"
+                        for pair in combinations(range(design.point_count), 2) if counts[pair] != 1]
+            assert [m for m in validate_design(design) if m.startswith("pair ")] == expected
+
+    def test_validation_keeps_no_count_per_pair(self):
+        # a bit mask of block-mates per point, not a count for every pair met
+        d = affine_plane(31)
+        tracemalloc.start()
+        try:
+            assert validate_design(d) == []
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 def sha1_of(value):
