@@ -254,6 +254,9 @@ def main(argv: list[str] | None = None) -> int:
     except InternalInvariantError as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:  # a size too large to hold
+        print("error: out of memory", file=sys.stderr)
+        return 2
     except Exception:  # a crash must not read as a verdict of 1
         sys.excepthook(*sys.exc_info())
         return 3

@@ -54,8 +54,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from functools import lru_cache
-from itertools import combinations
+from functools import cache, lru_cache
 from pathlib import Path
 from typing import Iterator
 
@@ -76,23 +75,30 @@ def _refine(rows: tuple[int, ...], partition: list[list[int]], splitters: list[l
     Each round splits every cell by its counts into the round's cells, in
     sorted key order.  Keys hold only the counts that may differ within a
     cell: into ``splitters`` in the first round, then into the pieces of the
-    cells just split, less the last piece of each, whose count follows.
+    cells just split, less the last piece of each, whose count follows.  A
+    key packs its counts, each below len(rows), into fields of
+    len(rows).bit_length() bits, first count highest, so keys sort as the
+    tuples of their counts would.
     """
+    width = len(rows).bit_length()
     while splitters:
-        masks = [sum(1 << v for v in cell) for cell in splitters]
-        single = masks[0] if len(masks) == 1 else 0
+        masks = []
+        for cell in splitters:
+            m = 0
+            for v in cell:
+                m |= 1 << v
+            masks.append(m)
         new: list[list[int]] = []
         splitters = []
         for cell in partition:
             if len(cell) == 1:
                 new.append(cell)
                 continue
-            keyed: dict[int | tuple[int, ...], list[int]] = {}
+            keyed: dict[int, list[int]] = {}
             for v in cell:
-                if single:  # one splitter: its count alone, which sorts as its 1-tuple would
-                    key = (rows[v] & single).bit_count()
-                else:
-                    key = tuple([(rows[v] & m).bit_count() for m in masks])
+                r, key = rows[v], 0
+                for m in masks:
+                    key = key << width | (r & m).bit_count()
                 keyed.setdefault(key, []).append(v)
             if len(keyed) == 1:
                 new.append(cell)
@@ -136,14 +142,16 @@ def _canonical_search(
         partition = _refine(rows, partition, splitters)
         prefix: list[int] = []
         cert: list[int] = []
+        prefix_mask = 0
         for cell in partition:
             if len(cell) > 1:
                 break
-            c = 0
+            v, c = cell[0], 0
             for i, u in enumerate(prefix):
-                c |= ((rows[cell[0]] >> u) & 1) << i
+                c |= ((rows[v] >> u) & 1) << i
             cert.append(c)
-            prefix.append(cell[0])
+            prefix.append(v)
+            prefix_mask |= 1 << v
         if cert > best_cert[:len(cert)]:
             continue
         k = len(prefix)
@@ -152,7 +160,6 @@ def _canonical_search(
                 best_cert, best_lab = cert, tuple(prefix)
             continue
         target = partition[k]
-        prefix_mask = sum(1 << v for v in prefix)
         pins = {v: v for v in prefix}
         kept: list[int] = []
         for v in target:
@@ -217,6 +224,15 @@ def _subset_images(p: tuple[int, ...], base: int, width: int) -> list[int]:
     return img
 
 
+@cache
+def _set_bits() -> tuple[tuple[int, ...], ...]:
+    """The set bits of every mask of up to ENUMERATION_ORDER_CAP bits, ascending; built on first use."""
+    bits: list[tuple[int, ...]] = [()]
+    for v in range(ENUMERATION_ORDER_CAP):
+        bits += [b + (v,) for b in bits]
+    return tuple(bits)
+
+
 def _children(rows: tuple[int, ...], z: int) -> Iterator[bytes]:
     """Packed accepted one-vertex extensions of a parent representative's rows (z = its order).
 
@@ -227,58 +243,81 @@ def _children(rows: tuple[int, ...], z: int) -> Iterator[bytes]:
     largest degree.  When that cell is {z}, every leaf ends with z, so z is
     accepted unsearched.
 
-    Only subsets that leave z a largest degree are generated: for each size k
-    from the parent's largest degree to z, the k-subsets of the vertices of
-    degree below k, taken in numeric order, so each orbit (which passes or
-    fails whole) is met at its least member.  Refinement's first round sorts
-    the child's vertices by degree; its second splits the last cell, the
-    vertices T of degree k, by their neighbour counts into each lower degree
-    class, in ascending degree order.  Later rounds split cells in place, so z
-    is rejected unrefined when another vertex of T has a greater key, and
-    accepted when z is T or has the greatest key alone.  Only a tie, or a
-    regular child, is refined in full, starting from its degree classes with
-    every class but the last as splitters, which is what the first round
-    makes of the unit partition.  A tie with z in the last cell L is then
-    accepted unsearched when each u of L is z's twin or z's image under an
-    automorphism ``extend_partial_map`` finds with z pinned to u: L lies in
-    z's orbit and holds the canonically last vertex.  At the first u that
-    fails, the child's canonical search decides.
+    Only subsets that leave z a largest degree are tried: one scan of every
+    subset in numeric order keeps those of size k at least the parent's
+    largest degree whose vertices all have degree below k, so each orbit
+    (which passes or fails whole) is met at its least member and walked
+    there.  Refinement's first round sorts the child's vertices by degree;
+    its second splits the last cell, the vertices T of degree k, by their
+    neighbour counts into each lower degree class, in ascending degree order.
+    Later rounds split cells in place, so z is rejected unrefined when
+    another vertex of T has a greater key, and accepted when z is T or has
+    the greatest key alone; keys pack the counts, each at most z, as
+    ``_refine``'s do.  Only a tie, or a regular child, is refined in full,
+    starting from its degree classes with every class but the last as
+    splitters, which is what the first round makes of the unit partition.  A
+    tie with z in the last cell L is then accepted unsearched when each u of
+    L is z's twin or z's image under an automorphism ``extend_partial_map``
+    finds with z pinned to u: L lies in z's orbit and holds the canonically
+    last vertex.  At the first u that fails, the child's canonical search
+    decides.
     """
     gens: list[tuple[int, ...]] = []
     _canonical_search(_trusted_graph(z, rows), gens)
     h = z // 2
     half = (1 << h) - 1
     tables = [(_subset_images(p, 0, h), _subset_images(p, h, z - h)) for p in gens]
-    degrees = [r.bit_count() for r in rows]
+    bits = _set_bits()
+    width, zbit = z.bit_length(), 1 << z
     of_degree = [0] * (z + 2)  # of_degree[d + 1]: the parent vertices of degree d
-    for v, d in enumerate(degrees):
-        of_degree[d + 1] |= 1 << v
-    candidates = sorted(sum(c) for k in range(max(degrees), z + 1)
-                        for c in combinations([1 << v for v, d in enumerate(degrees) if d < k], k))
-    images = [{s: lo[s & half] | hi[s >> h] for s in candidates} for lo, hi in tables]
+    for v, r in enumerate(rows):
+        of_degree[r.bit_count() + 1] |= 1 << v
+    top = max(map(int.bit_count, rows))
+    tops = of_degree[top + 1]  # the vertices a subset of size top may not hold; larger ones may
     covered: set[int] = set()
-    for subset in candidates:
-        if subset in covered:
-            continue
-        covered |= _orbit(subset, images)
+    for subset in range(1 << z):
         k = subset.bit_count()
+        if k < top or k == top and subset & tops or subset in covered:
+            continue
+        # the subset's orbit, through each generator's two half tables
+        covered.add(subset)
+        stack = [subset]
+        while stack:
+            s = stack.pop()
+            for lo, hi in tables:
+                if (image := lo[s & half] | hi[s >> h]) not in covered:
+                    covered.add(image)
+                    stack.append(image)
         # the child's degree classes: of_degree[j + 1] outside the subset, of_degree[j] inside
         if tied := of_degree[k + 1] & ~subset | of_degree[k] & subset:
-            masks = [m for j in range(k) if (m := of_degree[j + 1] & ~subset | of_degree[j] & subset)]
-            mine = [(subset & m).bit_count() for m in masks]
-            rival = max([(rows[v] & m).bit_count() for m in masks] for v in range(z) if tied >> v & 1)
+            masks, mine = [], 0
+            for j in range(k):
+                if m := of_degree[j + 1] & ~subset | of_degree[j] & subset:
+                    masks.append(m)
+                    mine = mine << width | (subset & m).bit_count()
+            rival = 0
+            for v in bits[tied]:
+                r, key = rows[v], 0
+                for m in masks:
+                    key = key << width | (r & m).bit_count()
+                if key > rival:
+                    rival = key
             if rival > mine:
                 continue
-        child_rows = tuple([r | ((subset >> v) & 1) << z for v, r in enumerate(rows)] + [subset])
+        grown = [*rows, subset]
+        for v in bits[subset]:
+            grown[v] |= zbit
+        child_rows = tuple(grown)
         if tied and rival == mine:  # a tie, or no lower degree class
             # the degree classes are the first round's refinement of the unit partition
-            classes = [[v for v in range(z + 1) if m >> v & 1] for m in masks + [tied | 1 << z]]
+            classes = [list(bits[m]) for m in masks]
+            classes.append(list(bits[tied | zbit]))
             root = _refine(child_rows, classes, classes[:-1])
             if z not in root[-1]:
                 continue
             child = _trusted_graph(z + 1, child_rows)
             # kept unlabeled when the last cell, which holds the canonically last vertex, lies in z's orbit
-            if not all(not (child_rows[u] ^ subset) & ~(1 << u | 1 << z)
+            if not all(not (child_rows[u] ^ subset) & ~(1 << u | zbit)
                        or extend_partial_map(child, child, {z: u}) is not None for u in root[-1] if u != z):
                 child_gens: list[tuple[int, ...]] = []
                 lab, _ = _canonical_search(child, child_gens, root)
@@ -482,8 +521,9 @@ def f_exact(
         window = -1
         for p in patterns:
             window &= _degree_window(p, order)
+        allowed = {d for d in range(order) if window >> d & 1}
         for count, g in enumerate(enumerate_graphs(order), 1):
-            if (all(window >> r.bit_count() & 1 for r in g.rows)
+            if (allowed.issuperset(map(int.bit_count, g.rows))
                     and all(has_induced_copy(g, p) for p in patterns)
                     and is_full(g, patterns, stop_at_gap=True).verdict):
                 witness = to_graph6(g)

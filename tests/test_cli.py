@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fullgraph import bounds, cli, oracle, verifier
+from fullgraph import bounds, cli, oracle, patterns, verifier
 from fullgraph.cli import main
 from fullgraph.constructions import h_vs_empty
 from fullgraph.graphs import cycle, from_graph6, to_graph6
@@ -585,6 +585,23 @@ class TestUsage:
     def test_no_command_exits_two(self):
         p = run()
         assert p.returncode == 2
+
+    @pytest.mark.parametrize("argv", [["search", "--patterns", "E99999999999"],
+                                      ["bound", "--patterns", "E99999999999", "--n", "3"],
+                                      ["verify", "--patterns", "E99999999999", "HOST"]])
+    def test_a_size_too_large_to_hold_exits_two(self, argv, tmp_path, monkeypatch, capsys):
+        # the builder raises as a real allocation of E99999999999 would, so nothing large is made
+        def too_large(n):
+            raise MemoryError
+
+        monkeypatch.setitem(patterns._FAMILIES, "E", (1, too_large))
+        host = tmp_path / "c5.g6"
+        host.write_text("Dhc\n")
+        argv = [str(host) if arg == "HOST" else arg for arg in argv]
+        if argv[0] == "search":
+            argv += ["--cache-dir", str(tmp_path / "cache")]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: out of memory\n")
 
     def test_unknown_command_exits_two(self):
         p = run("frobnicate")

@@ -438,6 +438,66 @@ class TestEnumerationLarge:
         assert enumeration_digest(9) == "5ea5bfed2144"
 
 
+def tuple_keyed_refine(rows, partition, splitters):
+    """The refinement as it was before its keys were packed: the reference for ``_refine``."""
+    while splitters:
+        masks = [sum(1 << v for v in cell) for cell in splitters]
+        single = masks[0] if len(masks) == 1 else 0
+        new: list[list[int]] = []
+        splitters = []
+        for cell in partition:
+            if len(cell) == 1:
+                new.append(cell)
+                continue
+            keyed: dict[int | tuple[int, ...], list[int]] = {}
+            for v in cell:
+                if single:  # one splitter: its count alone, which sorts as its 1-tuple would
+                    key = (rows[v] & single).bit_count()
+                else:
+                    key = tuple([(rows[v] & m).bit_count() for m in masks])
+                keyed.setdefault(key, []).append(v)
+            if len(keyed) == 1:
+                new.append(cell)
+            else:
+                pieces = [keyed[key] for key in sorted(keyed)]
+                new.extend(pieces)
+                splitters.extend(pieces[:-1])
+        partition = new
+    return partition
+
+
+class TestPackedRefinement:
+    @staticmethod
+    def graphs():
+        """K16 and K16 less a perfect matching, whose counts reach 15 and 14, then seeded random graphs."""
+        yield complete(16)
+        yield Graph.from_edges(16, [(i, j) for i in range(16) for j in range(i + 1, 16) if j != i ^ 1])
+        rng = random.Random(3316)
+        for _ in range(600):
+            n, p = rng.randint(1, 16), rng.random()
+            yield Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+
+    def test_packed_keys_split_as_tuple_keys(self):
+        # canonical_form refines up to order 16, where a count reaches 15: the edge of
+        # the five-bit fields that len(rows).bit_length() gives
+        rng = random.Random(3317)
+        split = 0
+        for g in self.graphs():
+            n = g.order
+            cases = [([list(range(n))], [list(range(n))])]
+            for _ in range(4):
+                vertices = rng.sample(range(n), n)
+                cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+                partition = [vertices[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+                splitters = [cell for cell in partition if rng.random() < 0.5] or partition[:1]
+                cases.append((partition, splitters))
+            for partition, splitters in cases:
+                want = tuple_keyed_refine(g.rows, partition, splitters)
+                assert _refine(g.rows, partition, splitters) == want, (to_graph6(g), partition, splitters)
+                split += want != partition
+        assert split > 1500
+
+
 class TestSearchCuts:
     def test_degree_window_rejects_only_uncoverable_vertices(self):
         patterns = [p for k in range(1, 5) for p in enumerate_graphs(k)]

@@ -66,6 +66,22 @@ def test_search_and_verify_load_no_bounds_or_constructions(tmp_path):
                                   "fullgraph.oracle", "fullgraph.verifier"}
 
 
+def test_importing_the_oracle_builds_no_table():
+    # every benchmark child imports the oracle, and most never enumerate, so
+    # tables the enumerator needs are built on its first use
+    code = ("import json, sys\n"
+            f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+            "import fullgraph.oracle as oracle\n"
+            "print(json.dumps({name: len(value) for name, value in vars(oracle).items()\n"
+            "                  if not name.startswith('__')\n"
+            "                  and isinstance(value, (list, tuple, dict, set, frozenset))}))\n")
+    p = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert p.returncode == 0, p.stderr
+    sizes = json.loads(p.stdout)
+    assert "_ROWS" in sizes
+    assert {name: size for name, size in sizes.items() if size > 64} == {}
+
+
 COMMANDS = [
     ["construct", "--theorem", "cyclic", "--patterns", "K2,E2"],
     ["construct", "--theorem", "design", "--patterns", "K2,E2", "--q", "2"],
