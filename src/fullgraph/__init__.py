@@ -15,9 +15,7 @@ _HOME = {
     "Graph6Error": "graphs",
     "ResolvableDesign": "designs",
     "affine_plane": "designs",
-    "complete_bipartite_full": "constructions",
     "cyclic_full": "constructions",
-    "delta_zero_construction": "constructions",
     "design_full": "constructions",
     "egh_formula": "bounds",
     "enumerate_graphs": "oracle",

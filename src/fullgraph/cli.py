@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Subcommands: construct (build and optionally verify), verify (fullness
-report for a host), bound (formula values), search (exact minimum via
-enumeration), design (affine plane as JSON).  JSON goes to stdout,
-diagnostics to stderr.  Exit codes: 0 success / verdict true, 1 verdict
-false or failed verification, 2 usage, parse or size error, 3 internal
-invariant breach or any other unexpected exception (with its traceback).
+Subcommands: construct (build by the theorem for one instance family, and
+optionally verify), verify (fullness report for a host), bound (formula
+values), search (exact minimum via enumeration), design (affine plane as
+JSON).  JSON goes to stdout, diagnostics to stderr.  Exit codes: 0
+success / verdict true, 1 verdict false or failed verification, 2 usage,
+parse or size error, 3 internal invariant breach or any other unexpected
+exception (with its traceback).
 """
 
 from __future__ import annotations
@@ -18,14 +19,13 @@ import sys
 from .graphs import Graph6Error, InternalInvariantError, empty, from_graph6, star, to_graph6
 from .patterns import parse_pattern_list
 
-# theorem: (required flags, optional flags); with --patterns and --n it builds one pattern against E_n
+# theorem: (required flags, optional flags); with --patterns and --n it builds one pattern against E_n.
+# One theorem per family: h_vs_empty and star each pick their regime from the instance.
 _THEOREMS = {
     "cyclic": (("patterns",), ()),
     "design": (("patterns", "q"), ()),
     "h_vs_empty": (("patterns", "n"), ("r",)),
     "star": (("m", "n"), ("k",)),
-    "complete_bipartite": (("m", "n"), ()),
-    "delta_zero": (("patterns", "n"), ()),
 }
 
 
@@ -102,7 +102,7 @@ def _cmd_construct(args) -> int:
     # an empty --patterns counts as missing
     if any(getattr(args, flag) in (None, "") for flag in flags):
         raise ValueError(f"--theorem {tag} requires " + " and ".join(f"--{flag}" for flag in flags))
-    for flag in ("patterns", "m", "n", "k", "r", "q"):
+    for flag in dict.fromkeys(f for taken in _THEOREMS.values() for f in taken[0] + taken[1]):
         if getattr(args, flag) is not None and flag not in flags + optional:
             raise ValueError(f"--theorem {tag} does not take --{flag}")
     if "patterns" in flags:
@@ -115,12 +115,8 @@ def _cmd_construct(args) -> int:
         g, recipe = constructions.design_full(pats, designs.affine_plane(args.q))
     elif tag == "h_vs_empty":
         g, recipe = constructions.h_vs_empty(pats[0], args.n, args.r)
-    elif tag == "delta_zero":
-        g, recipe = constructions.delta_zero_construction(pats[0], args.n)
-    elif tag == "star":
-        g, recipe = constructions.star_full(args.m, args.n, args.k)
     else:
-        g, recipe = constructions.complete_bipartite_full(args.m, args.n)
+        g, recipe = constructions.star_full(args.m, args.n, args.k)
     if "patterns" not in flags:
         pats = [star(args.m)]
     if "n" in flags:

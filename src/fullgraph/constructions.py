@@ -78,8 +78,14 @@ def cyclic_full(patterns: list[Graph]) -> tuple[Graph, ConstructionRecipe]:
     k-1 blocks (to the next block alone when k = 1).  Any vertex then
     completes each missing pattern using a whole later block, and its own
     pattern using its block plus one vertex from the previous block.
-    Order: twice the sum of (pattern order - 1).
+    Order: twice the sum of (pattern order - 1).  Every vertex lies in a
+    copy of K1, so the ring carries only the patterns of order >= 2, and
+    the recipe lists those.
     """
+    check_patterns(patterns)
+    patterns = [p for p in patterns if p.order > 1]
+    if not patterns:
+        raise ValueError("every pattern has order 1; the ring needs a pattern of order >= 2")
     claimed = bounds.cyclic_upper(patterns)
     k = len(patterns)
     removed = [_min_degree_vertex(p) for p in patterns]
@@ -154,11 +160,16 @@ def design_full(patterns: list[Graph], design: ResolvableDesign) -> tuple[Graph,
 
 
 def h_vs_empty(h: Graph, n: int, r: int | None = None) -> tuple[Graph, ConstructionRecipe]:
-    """Pattern h (min degree >= 1) together with an independent set of order n.
+    """Pattern h together with an independent set of order n.
 
-    r blocks each carry a copy of the neighbourhood of a minimum-degree
-    vertex x; block i is completely joined to its own part W_i of a large
-    independent set, so each W_i vertex can play x.  The remaining roles of
+    If h has an isolated vertex (min degree 0), the host is h plus n - s
+    isolated vertices (recipe tag ``delta_zero``), where s is the smallest
+    independent set forced through a single vertex of h.  Its order
+    n - s + order(h) is optimal, and it takes no r.
+
+    Otherwise r blocks each carry a copy of the neighbourhood of a
+    minimum-degree vertex x; block i is completely joined to its own part
+    W_i of a large independent set, so each W_i vertex can play x.  The remaining roles of
     h (the vertices outside N[x]) are played by three transversals T_1,
     T_2, T_3 of block representatives, wired so every block sees a whole
     transversal it does not meet.  Order: n - 1 + delta*r + ceil(n/(r-1)).
@@ -169,8 +180,14 @@ def h_vs_empty(h: Graph, n: int, r: int | None = None) -> tuple[Graph, Construct
         raise ValueError("pattern must be nonempty")
     delta = min_degree(h)
     if delta == 0:
-        raise ValueError("pattern has min degree 0; "
-                         "use delta_zero_construction (--theorem delta_zero) instead")
+        if r is not None:
+            raise ValueError("r applies only to a pattern of min degree >= 1")
+        claimed = bounds.delta_zero_exact(h, n)
+        s = n + h.order - claimed
+        ledger = _EdgeLedger()
+        ledger.place(h, range(h.order), range(h.order))
+        parameters = {"pattern": to_graph6(h), "n": n, "s": s, "isolated_added": n - s}
+        return _finish(ledger.build(claimed), "delta_zero", parameters, claimed)
     m_prime = h.order - delta - 1
     r = bounds.default_ring_count(delta, m_prime, n, r)
     claimed = bounds.h_vs_empty_order(delta, n, r)
@@ -230,18 +247,25 @@ def h_vs_empty(h: Graph, n: int, r: int | None = None) -> tuple[Graph, Construct
 def star_full(m: int, n: int, k: int | None = None) -> tuple[Graph, ConstructionRecipe]:
     """Star of order m and independent set of order n, both through every vertex.
 
-    A complete bipartite core X of r vertices (every core vertex is a star
-    center with the opposite side as leaves) plus an independent set Y of
-    n - 1 + k vertices; each core vertex is joined to k Y-vertices drawn
-    round-robin from the pool on its own side, which keeps the whole graph
-    bipartite and leaves no Y vertex isolated.  Order: n - 1 + k + r.
+    For n < m the host is K_{n,m-1} (recipe tag ``complete_bipartite``):
+    the n-side is the independent n-set, and each of its vertices is a star
+    center with the whole m-1 side as leaves.  Its order n + m - 1 is
+    optimal, and it takes no k.
+
+    For n >= m, a complete bipartite core X of r vertices (every core
+    vertex is a star center with the opposite side as leaves) plus an
+    independent set Y of n - 1 + k vertices; each core vertex is joined to
+    k Y-vertices drawn round-robin from the pool on its own side, which
+    keeps the whole graph bipartite and leaves no Y vertex isolated.  Order: n - 1 + k + r.
     Only edges are claimed: the non-edges inside Y number about n^2 / 2.
     """
     if m < 2:
         raise ValueError("star order must be at least 2")
     if n < m:
-        raise ValueError("requires n >= m; "
-                         "for n < m use complete_bipartite_full (--theorem complete_bipartite)")
+        if k is not None:
+            raise ValueError("k applies only when n >= m")
+        claimed = bounds.star_exact(m, n)
+        return _finish(complete_bipartite(n, m - 1), "complete_bipartite", {"m": m, "n": n}, claimed)
     if k is None:
         k = bounds.star_upper(m, n).k
     if not 1 <= k <= n - 1:
@@ -301,29 +325,3 @@ def star_full(m: int, n: int, k: int | None = None) -> tuple[Graph, Construction
         "schedule": {str(xv): ys for xv, ys in sorted(schedule.items())},
     }
     return _finish(g, "star", parameters, bounds.star_order(m, n, k))
-
-
-def complete_bipartite_full(m: int, n: int) -> tuple[Graph, ConstructionRecipe]:
-    """For n < m: parts of n and m-1 vertices, every pair joined.
-
-    The n-side is the independent n-set; every m-1-side vertex is a leaf of
-    a star centered across, and every n-side vertex is such a center.
-    """
-    if not 2 <= n < m:
-        raise ValueError("requires 2 <= n < m")
-    return _finish(complete_bipartite(n, m - 1), "complete_bipartite", {"m": m, "n": n},
-                   bounds.star_exact(m, n))
-
-
-def delta_zero_construction(h: Graph, n: int) -> tuple[Graph, ConstructionRecipe]:
-    """Pattern with an isolated vertex versus n independent vertices: add n - s isolates.
-
-    s is the smallest independent set forced through a single vertex of h;
-    the result has order n - s + order(h), which is optimal.
-    """
-    claimed = bounds.delta_zero_exact(h, n)
-    s = n + h.order - claimed
-    ledger = _EdgeLedger()
-    ledger.place(h, range(h.order), range(h.order))
-    parameters = {"pattern": to_graph6(h), "n": n, "s": s, "isolated_added": n - s}
-    return _finish(ledger.build(h.order + n - s), "delta_zero", parameters, claimed)

@@ -1,4 +1,4 @@
-"""The package's public names, and the README's Quick tour run as written."""
+"""The package's public names, and the README's Quick tour and claims about the code."""
 
 import os
 import re
@@ -10,15 +10,16 @@ from pathlib import Path
 import pytest
 
 import fullgraph
+from fullgraph import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
 # what a caller calls, constructs or catches
 PUBLIC = {
-    "Graph", "Graph6Error", "ResolvableDesign", "affine_plane", "complete_bipartite_full",
-    "cyclic_full", "delta_zero_construction", "design_full", "egh_formula", "enumerate_graphs",
-    "f_exact", "from_graph6", "h_vs_empty", "is_full", "parse_pattern", "parse_pattern_list",
-    "recheck_witness", "star_exact", "star_full", "summarize", "to_graph6",
+    "Graph", "Graph6Error", "ResolvableDesign", "affine_plane", "cyclic_full", "design_full",
+    "egh_formula", "enumerate_graphs", "f_exact", "from_graph6", "h_vs_empty", "is_full",
+    "parse_pattern", "parse_pattern_list", "recheck_witness", "star_exact", "star_full",
+    "summarize", "to_graph6",
 }
 
 # names the root no longer exports -> the module that still defines them
@@ -47,7 +48,7 @@ def test_star_import_binds_exactly_all():
 
 
 def test_all_is_the_public_names():
-    assert len(fullgraph.__all__) == 21
+    assert len(fullgraph.__all__) == 19
     assert set(fullgraph.__all__) == PUBLIC
 
 
@@ -70,3 +71,12 @@ def test_readme_quick_tour_runs(tmp_path):
     assert p.returncode == 0, p.stderr
     # the values the tour's comments state
     assert p.stdout.splitlines()[:3] == ["8", "True", "8"]
+
+
+def test_readme_states_the_theorems_and_the_root_size():
+    readme = (ROOT / "README.md").read_text()
+    # the first sentence of the --theorem paragraph names each theorem in backticks
+    start = readme.index("`--theorem` selects the construction:")
+    sentence = re.split(r"\.\s", readme[start:], maxsplit=1)[0]
+    assert re.findall(r"`(\w+)`", sentence) == list(cli._THEOREMS)
+    assert re.findall(r"The package root exports (\d+) names", readme) == [str(len(fullgraph.__all__))]

@@ -113,7 +113,7 @@ class TestCyclicAndDesignUpper:
             cyclic_upper([])
 
     def test_cyclic_upper_rejects_single_vertex_patterns(self):
-        # such a pattern would add an empty block: cyclic_full rejects it too
+        # such a pattern would add an empty block: cyclic_full leaves it off the ring
         for pats in ([complete(1)], [complete(3), complete(1)], [Graph(0, ())]):
             with pytest.raises(ValueError):
                 cyclic_upper(pats)

@@ -135,14 +135,25 @@ class TestConstruct:
         assert out["order"] == 15
 
     def test_complete_bipartite(self):
-        p = run("construct", "--theorem", "complete_bipartite", "--m", "4", "--n", "2")
+        # star builds K_{n,m-1} when n < m
+        p = run("construct", "--theorem", "star", "--m", "4", "--n", "2")
         assert p.returncode == 0
         assert json.loads(p.stdout)["order"] == 5
 
     def test_delta_zero(self):
-        p = run("construct", "--theorem", "delta_zero", "--patterns", "K2+K1", "--n", "3")
+        # h_vs_empty adds isolated vertices to a pattern with one
+        p = run("construct", "--theorem", "h_vs_empty", "--patterns", "K2+K1", "--n", "3")
         assert p.returncode == 0
         assert json.loads(p.stdout)["order"] == 4
+
+    def test_cyclic_builds_the_bound_with_single_vertex_patterns(self, capsys):
+        # bound reports cyclic_upper = 8 for K1,C5; the ring carries C5 alone
+        assert main(["construct", "--theorem", "cyclic", "--patterns", "K1,C5"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["order"], out["verified"]) == (8, True)
+        assert main(["construct", "--theorem", "cyclic", "--patterns", "K1,E1"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: every pattern has order 1; the ring needs a pattern of order >= 2\n")
 
     def test_out_files(self, tmp_path):
         g6 = tmp_path / "g.g6"
@@ -162,21 +173,54 @@ class TestConstruct:
         assert not rec.exists()
 
     def test_precondition_error_exits_two(self):
-        p = run("construct", "--theorem", "star", "--m", "3", "--n", "2")
+        p = run("construct", "--theorem", "star", "--m", "3", "--n", "1")
         assert p.returncode == 2
         assert "error" in p.stderr.lower()
 
-    @pytest.mark.parametrize("argv,message", [
-        (["--theorem", "star", "--m", "3", "--n", "2"],
-         "requires n >= m; for n < m use complete_bipartite_full (--theorem complete_bipartite)"),
-        (["--theorem", "h_vs_empty", "--patterns", "K2+K1", "--n", "9"],
-         "pattern has min degree 0; use delta_zero_construction (--theorem delta_zero) instead"),
+    @pytest.mark.parametrize("argv,tag", [
+        (["--theorem", "star", "--m", "3", "--n", "2"], "complete_bipartite"),
+        (["--theorem", "h_vs_empty", "--patterns", "K2+K1", "--n", "9"], "delta_zero"),
     ])
-    def test_precondition_error_names_the_theorem(self, argv, message, capsys):
-        assert main(["construct", *argv]) == 2
+    def test_each_theorem_picks_its_regime(self, argv, tag, capsys):
+        assert main(["construct", *argv]) == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
+        assert captured.err == ""
+        out = json.loads(captured.out)
+        assert out["recipe"]["theorem_tag"] == tag
+        assert out["verified"] is True
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--theorem", "star", "--m", "3", "--n", "2", "--k", "1"], "k applies only when n >= m"),
+        (["--theorem", "h_vs_empty", "--patterns", "K2+K1", "--n", "9", "--r", "4"],
+         "r applies only to a pattern of min degree >= 1"),
+    ])
+    def test_override_outside_its_regime_exits_two(self, argv, message, capsys):
+        # an override the regime cannot use is an error, not ignored
+        assert main(["construct", *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    # the parent's complete_bipartite and delta_zero runs of these instances
+    # printed this stdout and these exit codes; star and h_vs_empty print them now
+    MERGED_DIGEST = "c76c17b9c1f705d9789e621edb7d4d54701f00e5"
+
+    def test_merged_regimes_print_the_old_hosts(self, capsys):
+        runs = []
+        for m in range(3, 9):
+            for n in range(2, m):
+                runs.append([main(["construct", "--theorem", "star", "--m", str(m), "--n", str(n)]),
+                             capsys.readouterr().out])
+        for h in ("K2+K1", "P3+K1", "K3+E2", "C5+K1", "E3", "K1", "S4+E1", "C4+K2+K1"):
+            for n in range(1, 9):
+                runs.append([main(["construct", "--theorem", "h_vs_empty", "--patterns", h, "--n", str(n)]),
+                             capsys.readouterr().out])
+        assert len(runs) == 85 and sum(rc == 0 for rc, _ in runs) == 73
+        assert all(out == "" for rc, out in runs if rc != 0)
+        assert hashlib.sha1(json.dumps(runs).encode()).hexdigest() == self.MERGED_DIGEST
+
+    def test_two_patterns_against_e_n_exit_two(self, capsys):
+        argv = ["construct", "--theorem", "h_vs_empty", "--patterns", "K3,E3", "--n", "4"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: --theorem h_vs_empty takes exactly one pattern\n")
 
     def test_explicit_verify_is_the_default(self, capsys):
         argv = ["construct", "--theorem", "cyclic", "--patterns", "K3,E3"]
@@ -199,8 +243,6 @@ class TestConstruct:
             "design": {"--patterns": "K3,E3", "--q": "3"},
             "h_vs_empty": {"--patterns": "P3", "--n": "9"},
             "star": {"--m": "3", "--n": "5"},
-            "complete_bipartite": {"--m": "4", "--n": "2"},
-            "delta_zero": {"--patterns": "K2+K1", "--n": "3"},
         }
         for theorem, given in required.items():
             for missing in [*([flag] for flag in given), list(given)]:
@@ -224,8 +266,6 @@ class TestConstruct:
             "design": ["--patterns", "K3,E3", "--q", "3"],
             "h_vs_empty": ["--patterns", "P3", "--n", "9", "--r", "4"],
             "star": ["--m", "3", "--n", "5", "--k", "2"],
-            "complete_bipartite": ["--m", "4", "--n", "2"],
-            "delta_zero": ["--patterns", "K2+K1", "--n", "3"],
         }
         values = {"--patterns": "K2,E2", "--m": "3", "--n": "3", "--k": "2", "--r": "2", "--q": "3"}
         for theorem, argv in taken.items():
@@ -236,16 +276,16 @@ class TestConstruct:
                     assert main(["construct", "--theorem", theorem, *argv, flag, value]) == 2
                     assert capsys.readouterr() == ("", f"error: --theorem {theorem} does not take {flag}\n")
 
-    # the five construct runs of the verify_large benchmark, the two other
-    # theorems, and one --k and one --r override
+    # the five construct runs of the verify_large benchmark, the K_{n,m-1}
+    # and isolated-vertex regimes, and one --k and one --r override
     PINNED = [
         ["--theorem", "h_vs_empty", "--patterns", "C5", "--n", "400"],
         ["--theorem", "h_vs_empty", "--patterns", "K4", "--n", "160"],
         ["--theorem", "design", "--patterns", "P9,C9,K9,E9", "--q", "9"],
         ["--theorem", "star", "--m", "10", "--n", "1000"],
         ["--theorem", "cyclic", "--patterns", "K6,E6,P6,C6"],
-        ["--theorem", "complete_bipartite", "--m", "5", "--n", "3"],
-        ["--theorem", "delta_zero", "--patterns", "P3+K1", "--n", "5"],
+        ["--theorem", "star", "--m", "5", "--n", "3"],
+        ["--theorem", "h_vs_empty", "--patterns", "P3+K1", "--n", "5"],
         ["--theorem", "star", "--m", "4", "--n", "9", "--k", "2"],
         ["--theorem", "h_vs_empty", "--patterns", "P3", "--n", "9", "--r", "4"],
     ]
@@ -256,7 +296,7 @@ class TestConstruct:
             rc = main(["construct", *argv])
             runs.append([argv, rc, capsys.readouterr().out])
         assert [rc for _, rc, _ in runs] == [0] * len(self.PINNED)
-        assert hashlib.sha1(json.dumps(runs).encode()).hexdigest() == "9a01708ec7b079843531b600a9cbcb8032b0d233"
+        assert hashlib.sha1(json.dumps(runs).encode()).hexdigest() == "bba28f11c6d5dec8afb0bea6a89decc8a76fb061"
 
 
 class TestPatternLanguage:
@@ -406,6 +446,12 @@ class TestBound:
     def test_n_needs_patterns(self, formula, capsys):
         assert main(["bound", *formula, "--n", "7"]) == 2
         assert capsys.readouterr() == ("", "error: --n needs --patterns\n")
+
+    @pytest.mark.parametrize("ways", [[], ["--egh", "3", "3", "--star", "3", "5"],
+                                      ["--star", "3", "5", "--patterns", "K3"]])
+    def test_exactly_one_way_exits_two_otherwise(self, ways, capsys):
+        assert main(["bound", *ways]) == 2
+        assert capsys.readouterr() == ("", "error: choose exactly one of --egh, --star, --patterns\n")
 
     def test_rejects_egh_below_two(self):
         p = run("bound", "--egh", "1", "5")

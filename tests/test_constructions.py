@@ -8,14 +8,7 @@ import pytest
 
 from fullgraph import bounds
 from fullgraph.bounds import InternalInvariantError, cyclic_upper, star_exact, star_upper
-from fullgraph.constructions import (
-    complete_bipartite_full,
-    cyclic_full,
-    delta_zero_construction,
-    design_full,
-    h_vs_empty,
-    star_full,
-)
+from fullgraph.constructions import cyclic_full, design_full, h_vs_empty, star_full
 from fullgraph.designs import ResolvableDesign, affine_plane, validate_design
 from fullgraph.graphs import (
     complete,
@@ -79,6 +72,16 @@ class TestCyclicFull:
             cyclic_full([])
         with pytest.raises(ValueError):
             cyclic_full([complete(1)])
+
+    @pytest.mark.parametrize("names,order", [("K1,C5", 8), ("K1,K3,E3", 8), ("K1,E1,P4", 6)])
+    def test_single_vertex_patterns_stay_off_the_ring(self, names, order):
+        # every vertex lies in a copy of K1, as summarize's cyclic_upper assumes
+        pats = parse_pattern_list(names)
+        g, recipe = cyclic_full(pats)
+        upper = next(e for e in bounds.summarize(pats).entries if e.name == "cyclic_upper")
+        assert g.order == recipe.claimed_order == upper.value == order
+        assert recipe.parameters["patterns"] == [to_graph6(p) for p in pats if p.order > 1]
+        assert is_full(g, pats).verdict
 
 
 class TestDesignFull:
@@ -217,8 +220,11 @@ class TestHVsEmpty:
             h_vs_empty(path(3), 9, r=2)
 
     def test_rejects_isolated_pattern(self):
+        # an isolated-vertex pattern takes no r, and needs n >= s
         with pytest.raises(ValueError):
-            h_vs_empty(empty(3), 5)
+            h_vs_empty(empty(3), 5, r=3)
+        with pytest.raises(ValueError):
+            h_vs_empty(empty(3), 2)
 
     def test_rejects_n_below_split(self):
         # every independent-set part must stay nonempty
@@ -286,8 +292,11 @@ class TestStarFull:
         assert all(len(ys) == recipe.parameters["k"] for ys in schedule.values())
 
     def test_rejects_small_n(self):
+        # n < m builds K_{n,m-1}, which takes no k and needs n >= 2
         with pytest.raises(ValueError):
-            star_full(3, 2)
+            star_full(3, 2, k=1)
+        with pytest.raises(ValueError):
+            star_full(3, 1)
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
@@ -297,55 +306,60 @@ class TestStarFull:
 
 
 class TestCompleteBipartiteFull:
+    """star_full for n < m."""
+
     def test_pinned_cases(self):
-        g, recipe = complete_bipartite_full(4, 2)
+        g, recipe = star_full(4, 2)
         assert g.order == 5 == recipe.claimed_order
         assert is_full(g, [star(4), empty(2)]).verdict
-        g, _ = complete_bipartite_full(3, 2)
+        g, _ = star_full(3, 2)
         assert g.order == 4
-        g, _ = complete_bipartite_full(5, 4)
+        g, _ = star_full(5, 4)
         assert g.order == 8
 
     def test_sweep(self):
         for m in range(3, 9):
             for n in range(2, m):
-                g, recipe = complete_bipartite_full(m, n)
+                g, recipe = star_full(m, n)
                 assert g.order == n + m - 1
                 assert is_full(g, [star(m), empty(n)]).verdict
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            complete_bipartite_full(3, 3)
+            star_full(3, 2, k=1)
         with pytest.raises(ValueError):
-            complete_bipartite_full(3, 1)
+            star_full(3, 1)
 
 
 class TestDeltaZeroConstruction:
+    """h_vs_empty for a pattern with an isolated vertex."""
+
     def test_pinned_case(self):
         h = disjoint_union(complete(2), complete(1))
-        g, recipe = delta_zero_construction(h, 3)
+        g, recipe = h_vs_empty(h, 3)
         assert g.order == 4 == recipe.claimed_order
         assert is_full(g, [h, empty(3)]).verdict
 
     def test_path_plus_isolate(self):
         h = disjoint_union(path(3), complete(1))
-        g, _ = delta_zero_construction(h, 4)
+        g, _ = h_vs_empty(h, 4)
         assert g.order == 6
         assert is_full(g, [h, empty(4)]).verdict
 
     def test_edgeless_pattern(self):
-        g, _ = delta_zero_construction(empty(3), 5)
+        g, _ = h_vs_empty(empty(3), 5)
         assert g.order == 5
         assert is_full(g, [empty(3), empty(5)]).verdict
 
-    def test_rejects_positive_min_degree(self):
+    def test_rejects_ring_count(self):
+        h = disjoint_union(complete(2), complete(1))
         with pytest.raises(ValueError):
-            delta_zero_construction(path(3), 5)
+            h_vs_empty(h, 3, r=3)
 
     def test_rejects_small_n(self):
         h = disjoint_union(complete(2), complete(1))
         with pytest.raises(ValueError):
-            delta_zero_construction(h, 1)
+            h_vs_empty(h, 1)
 
 
 class TestRecipeSerialization:
@@ -357,8 +371,8 @@ class TestRecipeSerialization:
             design_full([complete(3)], affine_plane(3))[1],
             h_vs_empty(path(3), 9)[1],
             star_full(3, 5)[1],
-            complete_bipartite_full(4, 2)[1],
-            delta_zero_construction(disjoint_union(complete(2), complete(1)), 3)[1],
+            star_full(4, 2)[1],
+            h_vs_empty(disjoint_union(complete(2), complete(1)), 3)[1],
         ]
         tags = [b.theorem_tag for b in builds]
         assert tags == ["cyclic", "design", "h_vs_empty", "star", "complete_bipartite", "delta_zero"]
@@ -370,7 +384,7 @@ class TestRecipeSerialization:
 class TestClaimedOrders:
     """Each builder takes its claimed order from bounds and checks the build against it.
 
-    delta_zero_construction reads s back from its claimed order, and
+    h_vs_empty's isolated-vertex route reads s back from its claimed order, and
     design_full claims its design's point count, so their builds meet the
     claim by construction and are left out here.
     """
@@ -379,7 +393,7 @@ class TestClaimedOrders:
         ("cyclic_upper", lambda: cyclic_full([complete(3), empty(3)])),
         ("h_vs_empty_order", lambda: h_vs_empty(path(3), 9)),
         ("star_order", lambda: star_full(3, 5)),
-        ("star_exact", lambda: complete_bipartite_full(4, 2)),
+        ("star_exact", lambda: star_full(4, 2)),
     ]
 
     @pytest.mark.parametrize("name,build", BUILDS, ids=[b[0] for b in BUILDS])
@@ -409,14 +423,14 @@ class TestBuildsArePinned:
         yield star_full(10, 1000)
         for m in range(3, 9):
             for n in range(2, m):
-                yield complete_bipartite_full(m, n)
+                yield star_full(m, n)
         for h in ("C5", "K4", "P3", "K3", "S4"):
             for n in (40, 160, 400):
                 yield h_vs_empty(parse_pattern(h), n)
         for h in ("K2+E1", "P3+E1", "E2", "K3+E1"):
             for n in range(2, 8):
                 try:
-                    yield delta_zero_construction(parse_pattern(h), n)
+                    yield h_vs_empty(parse_pattern(h), n)
                 except ValueError:
                     pass
 

@@ -87,8 +87,8 @@ COMMANDS = [
     ["construct", "--theorem", "design", "--patterns", "K2,E2", "--q", "2"],
     ["construct", "--theorem", "h_vs_empty", "--patterns", "P3", "--n", "9"],
     ["construct", "--theorem", "star", "--m", "3", "--n", "5"],
-    ["construct", "--theorem", "complete_bipartite", "--m", "4", "--n", "2"],
-    ["construct", "--theorem", "delta_zero", "--patterns", "K2+K1", "--n", "3"],
+    ["construct", "--theorem", "star", "--m", "4", "--n", "2"],
+    ["construct", "--theorem", "h_vs_empty", "--patterns", "K2+K1", "--n", "3"],
     ["bound", "--egh", "3", "3"],
     ["bound", "--star", "3", "4"],
     ["bound", "--patterns", "K3,C5", "--n", "3"],
@@ -105,7 +105,7 @@ def test_no_command_loads_dataclasses_or_inspect(tmp_path):
         "bounds", "cli", "constructions", "designs", "graphs", "oracle", "patterns", "verifier")}
     assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
     # nor do the error paths
-    loaded = loaded_by_commands([["construct", "--theorem", "star", "--m", "3", "--n", "2"],
+    loaded = loaded_by_commands([["construct", "--theorem", "star", "--m", "3", "--n", "1"],
                                  ["bound", "--patterns", "K0"], ["search", "--patterns", "X"]], rc=2)
     loaded |= loaded_by_commands([["verify", str(host), "--patterns", "K3"]], rc=1)
     assert not loaded & {"dataclasses", "inspect"}
