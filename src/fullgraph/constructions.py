@@ -3,7 +3,7 @@
 Each builder returns ``(graph, recipe)`` where the recipe records the
 construction family, its parameters, and the order the construction
 promises.  Builders write their vertex pairs through one ``_EdgeLedger``
-(``complete_bipartite_full`` calls ``graphs.complete_bipartite``), take
+(``star_full`` for n < m calls ``graphs.complete_bipartite``), take
 the promised order from the matching ``bounds`` function (the design
 overlay promises its design's point count), and return through
 ``_finish``, which checks the built order against that promise.
