@@ -166,8 +166,8 @@ def star_lower(m: int, n: int) -> int:
 
 def star_exact(m: int, n: int) -> int:
     """Exact f for a star of order m versus an edgeless graph of order n."""
-    if m < 2 or n < 2:
-        raise ValueError("both orders must be at least 2")
+    if m < 2 or n < 1:
+        raise ValueError("the star order must be at least 2 and n at least 1")
     if n < m:
         return n + m - 1
     return star_upper(m, n).value
@@ -360,7 +360,7 @@ def summarize(patterns: list[Graph], n: int | None = None) -> BoundSummary:
                         "star_closed_form", "exact", cf.value, cf.regime == "A",
                         reason="" if cf.regime == "A" else "dense-star regime: approximation only",
                         details={"regime": cf.regime}))
-                elif nn >= 2:
+                else:
                     entries.append(BoundEntry("star_exact", "exact", star_exact(m, nn), True,
                                               reason="small independent set: n < m"))
 

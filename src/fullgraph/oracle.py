@@ -47,6 +47,13 @@ Nothing is kept between lookups.  A line that spells a key otherwise (a
 repeated or escaped member name, unescaped non-ASCII) is no record of it.
 The search re-checks every record it is handed (``_record_holds``); one that
 fails is a miss.  Records hold no timing: equal searches append equal lines.
+
+Scan memo: within one process, the outcome of each finished order scan (the
+hosts examined and the first full host, if any) is kept in ``_SCANS``, keyed
+by the sorted canonical patterns and the order.  It depends on nothing else,
+so a search with other hints, or with the patterns reordered or relabeled,
+reads the order from it and builds the same record; it is never written to
+disk.
 """
 
 from __future__ import annotations
@@ -353,6 +360,10 @@ def enumerate_graphs(order: int) -> Iterator[Graph]:
 
 # -- exact minimum search -----------------------------------------------------
 
+# (sorted canonical graph6 of the patterns, order) -> (hosts examined, graph6 of
+# the first full host or None), stored when that order's scan has finished
+_SCANS: dict[tuple[tuple[str, ...], int], tuple[int, str | None]] = {}
+
 
 class SearchResult(_FrozenRecord):
     __slots__ = ("patterns", "f", "witness", "exhausted_orders", "examined", "exhaustive", "note")
@@ -483,7 +494,10 @@ def f_exact(
     witness is the first full host in enumeration order, and ``examined`` at
     f is its 1-based position there.  Orders above 9 cannot be enumerated: a
     search asked to go beyond returns a non-exhaustive result rather than a
-    certificate.
+    certificate.  Each order is scanned once a process: its count and
+    witness are kept in ``_SCANS`` when its scan finishes, so a scan that
+    raises keeps nothing, and a later search of the same patterns reads
+    them there.
 
     A cached record is returned only when it is what this search returns:
     its patterns are the canonical forms; its witness is a full host of order
@@ -518,17 +532,20 @@ def f_exact(
     f_value: int | None = None
     witness: str | None = None
     for order in range(lo, min(hi, ENUMERATION_ORDER_CAP) + 1):
-        window = -1
-        for p in patterns:
-            window &= _degree_window(p, order)
-        allowed = {d for d in range(order) if window >> d & 1}
-        for count, g in enumerate(enumerate_graphs(order), 1):
-            if (allowed.issuperset(map(int.bit_count, g.rows))
-                    and all(has_induced_copy(g, p) for p in patterns)
-                    and is_full(g, patterns, stop_at_gap=True).verdict):
-                witness = to_graph6(g)
-                break
-        examined[order] = count
+        if (scan := _SCANS.get((canon, order))) is None:
+            window = -1
+            for p in patterns:
+                window &= _degree_window(p, order)
+            allowed = {d for d in range(order) if window >> d & 1}
+            for count, g in enumerate(enumerate_graphs(order), 1):
+                if (allowed.issuperset(map(int.bit_count, g.rows))
+                        and all(has_induced_copy(g, p) for p in patterns)
+                        and is_full(g, patterns, stop_at_gap=True).verdict):
+                    witness = to_graph6(g)
+                    break
+            # two threads racing on one order store equal tuples, so no lock is needed
+            scan = _SCANS[canon, order] = (count, witness)
+        examined[order], witness = scan
         if witness is not None:
             f_value = order
             break

@@ -244,6 +244,16 @@ class TestStarFormulas:
         assert star_exact(5, 3) == 7
         assert star_exact(4, 2) == 5
 
+    def test_one_vertex_independent_set(self):
+        # f(S_m, E1) = m: the star itself; egh_formula keeps its n >= 2 guard
+        assert [star_exact(m, 1) for m in range(2, 7)] == [2, 3, 4, 5, 6]
+        with pytest.raises(ValueError):
+            star_exact(3, 0)
+        with pytest.raises(ValueError):
+            star_exact(1, 1)
+        with pytest.raises(ValueError):
+            egh_formula(3, 1)
+
     def test_upper_is_the_least_construction_order(self):
         for m in range(2, 12):
             for n in range(m, 30):
@@ -337,6 +347,14 @@ class TestSummarize:
         if n >= 2:
             assert entry["value"] == delta_zero_exact(h, n)
 
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_star_against_one_vertex_is_exact(self, m):
+        # K2, P3 and K1,3 against E1: f is m, the star itself
+        s = summarize([star(m)], n=1)
+        entry = next(e for e in s.entries if e.name == "star_exact")
+        assert (entry.kind, entry.value, entry.applicable) == ("exact", m, True)
+        assert s.best_lower() == s.best_upper() == m
+
     def test_complement_entries_build_no_complement(self, monkeypatch):
         # the complement entries read co-H's degrees off H, so E_1000 is the only large graph built
         orders = []
@@ -406,12 +424,12 @@ class TestSummarize:
 
     def test_corpus_is_pinned(self):
         # 414 instances: every graph of order 1-4 alone, with E1, E2, E3 and E6,
-        # and every ordered pair of them
+        # and every ordered pair of them; K2, P3 and K1,3 against E1 carry star_exact
         small = [g for k in range(1, 5) for g in enumerate_graphs(k)]
         out = [summarize([g], n=n).to_dict() for g in small for n in (None, 1, 2, 3, 6)]
         out += [summarize([g, h]).to_dict() for g in small for h in small]
         assert len(out) == 414
-        assert hashlib.sha1(json.dumps(out, sort_keys=True).encode()).hexdigest()[:12] == "ede09e85130a"
+        assert hashlib.sha1(json.dumps(out, sort_keys=True).encode()).hexdigest()[:12] == "63094ecf2839"
 
     def test_rejects_n_below_one(self):
         with pytest.raises(ValueError, match="n must be at least 1"):

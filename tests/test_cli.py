@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from fullgraph import bounds, cli, oracle, patterns, verifier
 from fullgraph.cli import main
 from fullgraph.constructions import h_vs_empty
-from fullgraph.graphs import cycle, from_graph6, to_graph6
+from fullgraph.graphs import cycle, from_graph6, star, to_graph6
 from fullgraph.verifier import is_full
 from fullgraph.patterns import parse_pattern, parse_pattern_list
 
@@ -177,9 +177,16 @@ class TestConstruct:
         assert not rec.exists()
 
     def test_precondition_error_exits_two(self):
-        p = run("construct", "--theorem", "star", "--m", "3", "--n", "1")
+        p = run("construct", "--theorem", "star", "--m", "3", "--n", "0")
         assert p.returncode == 2
         assert "error" in p.stderr.lower()
+
+    def test_star_against_one_vertex_is_the_star(self, capsys):
+        # f(S_m, E1) = m: the star itself is full
+        assert main(["construct", "--theorem", "star", "--m", "3", "--n", "1"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["order"], out["verified"]) == (3, True)
+        assert from_graph6(out["graph6"]) == star(3)
 
     @pytest.mark.parametrize("argv,message", [
         (["--theorem", "star", "--m", "3", "--n", "2", "--k", "1"], "k applies only when n >= m"),
@@ -424,6 +431,13 @@ class TestBound:
         p = run("bound", "--star", "3", "5")
         assert p.returncode == 0
         assert json.loads(p.stdout)["value"] == 9
+
+    def test_star_against_one_vertex(self, capsys):
+        assert main(["bound", "--star", "4", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == 4
+        # the complete-vs-edgeless formula still asks for n >= 2
+        assert main(["bound", "--egh", "3", "1"]) == 2
+        assert capsys.readouterr() == ("", "error: both orders must be at least 2\n")
 
     def test_summary_table(self):
         p = run("bound", "--patterns", "K2", "--n", "5")

@@ -292,11 +292,19 @@ class TestStarFull:
         assert all(len(ys) == recipe.parameters["k"] for ys in schedule.values())
 
     def test_rejects_small_n(self):
-        # n < m builds K_{n,m-1}, which takes no k and needs n >= 2
+        # n < m builds K_{n,m-1}, which takes no k and needs n >= 1
         with pytest.raises(ValueError):
             star_full(3, 2, k=1)
         with pytest.raises(ValueError):
-            star_full(3, 1)
+            star_full(3, 0)
+
+    def test_one_vertex_independent_set_takes_the_star_itself(self):
+        # f(S_m, E1) = m, and K_{1,m-1} is S_m
+        for m in range(2, 8):
+            g, recipe = star_full(m, 1)
+            assert g == star(m)
+            assert g.order == recipe.claimed_order == star_exact(m, 1) == m
+            assert is_full(g, [star(m), empty(1)]).verdict
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
@@ -328,7 +336,7 @@ class TestCompleteBipartiteFull:
         with pytest.raises(ValueError):
             star_full(3, 2, k=1)
         with pytest.raises(ValueError):
-            star_full(3, 1)
+            star_full(3, 0)
 
 
 class TestDeltaZeroConstruction:

@@ -769,7 +769,9 @@ class TestFExact:
         assert answer_digest(f_exact(parse_pattern_list(instance), cache_dir=tmp_path)) == digest
 
     def test_stop_at_gap_agrees_on_every_host_checked(self, tmp_path, monkeypatch):
-        # every host the six searches hand to the host check, with the verdict each gives
+        # every host the six searches hand to the host check, with the verdict each gives;
+        # from an empty scan memo, or orders scanned by earlier tests would check no host
+        monkeypatch.setattr(oracle, "_SCANS", {})
         checked = []
 
         def recording(host, patterns, **kwargs):
@@ -784,6 +786,83 @@ class TestFExact:
         assert sum(verdict for _, _, verdict in checked) == len(PINNED_ANSWERS)
         for host, patterns, verdict in checked:
             assert verdict == is_full(host, patterns).verdict, to_graph6(host)
+
+
+class TestScanMemo:
+    """Each order is scanned once a process; a later search reads its count and witness from ``_SCANS``."""
+
+    @staticmethod
+    def counting_scans(monkeypatch):
+        """Route ``oracle.enumerate_graphs`` through a recorder; returns the orders scanned."""
+        scanned, enumerate_all = [], oracle.enumerate_graphs
+
+        def counted(order):
+            scanned.append(order)
+            return enumerate_all(order)
+
+        monkeypatch.setattr(oracle, "enumerate_graphs", counted)
+        return scanned
+
+    @pytest.mark.parametrize("instance,f,top", [("K2,E2", 4, 9), ("C5,E3", 7, 9), ("K4,E4", None, 7)])
+    def test_every_key_answers_as_from_an_empty_memo(self, tmp_path, monkeypatch, instance, f, top):
+        # every (lo, hi) with lo <= f <= hi <= top, or lo <= hi <= top when no f is reached
+        patterns = parse_pattern_list(instance)
+        start = max(p.order for p in patterns)
+        keys = [(lo, hi) for lo in range(start, (f or top) + 1) for hi in range(max(lo, f or lo), top + 1)]
+        assert len(keys) > 5
+        fresh = []
+        for lo, hi in keys:
+            monkeypatch.setattr(oracle, "_SCANS", {})
+            fresh.append(f_exact(patterns, lo, hi, tmp_path / f"fresh-{lo}-{hi}").to_dict())
+        monkeypatch.setattr(oracle, "_SCANS", {})
+        scanned = self.counting_scans(monkeypatch)
+        memo = [f_exact(patterns, lo, hi, tmp_path / f"memo-{lo}-{hi}").to_dict() for lo, hi in keys]
+        assert memo == fresh
+        # one scan per order the keys reach, and the same cache line as a fresh scan writes
+        assert sorted(scanned) == list(range(start, (f or top) + 1))
+        for lo, hi in keys:
+            assert ((tmp_path / f"memo-{lo}-{hi}" / "f_exact.jsonl").read_bytes()
+                    == (tmp_path / f"fresh-{lo}-{hi}" / "f_exact.jsonl").read_bytes())
+
+    def test_a_second_key_of_a_searched_instance_scans_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(oracle, "_SCANS", {})
+        first = f_exact([cycle(5), empty(3)], cache_dir=tmp_path / "first")
+
+        def scan(order):
+            raise AssertionError(f"order {order} was scanned")
+
+        monkeypatch.setattr(oracle, "enumerate_graphs", scan)
+        hinted = f_exact([cycle(5), empty(3)], lower_hint=6, upper_hint=8, cache_dir=tmp_path / "hinted")
+        assert (hinted.f, hinted.witness) == (7, first.witness)
+        assert hinted.examined == {6: first.examined[6], 7: first.examined[7]}
+        # reordered and relabeled patterns: the same key, so the same record and line
+        again = f_exact([empty(3), relabeled(cycle(5), [2, 4, 0, 1, 3])], cache_dir=tmp_path / "again")
+        assert again == first
+        assert ((tmp_path / "again" / "f_exact.jsonl").read_bytes()
+                == (tmp_path / "first" / "f_exact.jsonl").read_bytes())
+        # an order no search has finished is scanned
+        with pytest.raises(AssertionError, match="order 8 was scanned"):
+            f_exact([cycle(5), empty(3)], lower_hint=8, cache_dir=tmp_path / "beyond")
+
+    def test_an_interrupted_scan_stores_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(oracle, "_SCANS", {})
+
+        def failing(host, patterns, **kwargs):
+            if host.order == 7:
+                raise MemoryError
+            return is_full(host, patterns, **kwargs)
+
+        monkeypatch.setattr(oracle, "is_full", failing)
+        patterns = parse_pattern_list("C5,E3")
+        with pytest.raises(MemoryError):
+            f_exact(patterns, cache_dir=tmp_path)
+        # orders 5 and 6 finished and are kept; order 7 raised and is not, and no record was stored
+        assert sorted(order for _, order in oracle._SCANS) == [5, 6]
+        assert (tmp_path / "f_exact.jsonl").read_bytes() == b""
+        monkeypatch.setattr(oracle, "is_full", is_full)
+        scanned = self.counting_scans(monkeypatch)
+        assert answer_digest(f_exact(patterns, cache_dir=tmp_path)) == PINNED_ANSWERS["C5,E3"]
+        assert scanned == [7]
 
 
 class TestCache:

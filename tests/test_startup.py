@@ -105,7 +105,7 @@ def test_no_command_loads_dataclasses_or_inspect(tmp_path):
         "bounds", "cli", "constructions", "designs", "graphs", "oracle", "patterns", "verifier")}
     assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
     # nor do the error paths
-    loaded = loaded_by_commands([["construct", "--theorem", "star", "--m", "3", "--n", "1"],
+    loaded = loaded_by_commands([["construct", "--theorem", "star", "--m", "3", "--n", "0"],
                                  ["bound", "--patterns", "K0"], ["search", "--patterns", "X"]], rc=2)
     loaded |= loaded_by_commands([["verify", str(host), "--patterns", "K3"]], rc=1)
     assert not loaded & {"dataclasses", "inspect"}

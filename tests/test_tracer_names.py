@@ -85,6 +85,19 @@ def test_hosts_examined_counts_the_hosts_the_search_examined(tmp_path):
     assert summary["calls"]["oracle.host_check"] == summary["calls"]["verifier.is_full"] > 0
 
 
+def test_a_memo_served_search_streams_no_host(tmp_path):
+    # the second search misses its fresh cache but reads every order from the
+    # scan memo, so the traced host count is one search's, not two
+    summary = traced_summary("from fullgraph import oracle, patterns\n"
+                             "for name in ('a', 'b'):\n"
+                             "    oracle.f_exact(patterns.parse_pattern_list('C5,E3'), "
+                             f"cache_dir={str(tmp_path)!r} + '/' + name)")
+    records = [json.loads((tmp_path / name / "f_exact.jsonl").read_text()) for name in "ab"]
+    assert records[0] == records[1]
+    assert summary["counters"]["oracle.hosts_examined"] == sum(records[0]["result"]["examined"].values())
+    assert summary["calls"]["oracle.cache_store"] == 2
+
+
 def test_a_cache_hit_rechecks_its_witness_through_the_wrapped_names(tmp_path):
     # the hit decodes the stored witness and checks it once, through the same names as the search
     search = ("from fullgraph import oracle, patterns\n"
