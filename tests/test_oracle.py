@@ -769,9 +769,7 @@ class TestFExact:
         assert answer_digest(f_exact(parse_pattern_list(instance), cache_dir=tmp_path)) == digest
 
     def test_stop_at_gap_agrees_on_every_host_checked(self, tmp_path, monkeypatch):
-        # every host the six searches hand to the host check, with the verdict each gives;
-        # from an empty scan memo, or orders scanned by earlier tests would check no host
-        monkeypatch.setattr(oracle, "_SCANS", {})
+        # every host the six searches hand to the host check, with the verdict each gives
         checked = []
 
         def recording(host, patterns, **kwargs):
@@ -825,7 +823,6 @@ class TestScanMemo:
                     == (tmp_path / f"fresh-{lo}-{hi}" / "f_exact.jsonl").read_bytes())
 
     def test_a_second_key_of_a_searched_instance_scans_nothing(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(oracle, "_SCANS", {})
         first = f_exact([cycle(5), empty(3)], cache_dir=tmp_path / "first")
 
         def scan(order):
@@ -845,7 +842,6 @@ class TestScanMemo:
             f_exact([cycle(5), empty(3)], lower_hint=8, cache_dir=tmp_path / "beyond")
 
     def test_an_interrupted_scan_stores_nothing(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(oracle, "_SCANS", {})
 
         def failing(host, patterns, **kwargs):
             if host.order == 7:
