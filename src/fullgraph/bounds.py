@@ -24,8 +24,8 @@ from .graphs import (
     max_degree,
     min_degree,
     star_center,
-    to_graph6,
 )
+from .patterns import pattern_name
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -280,11 +280,14 @@ def summarize(patterns: list[Graph], n: int | None = None) -> BoundSummary:
         patterns = list(patterns) + [empty(n)]
     check_patterns(patterns)
     orders = [p.order for p in patterns]
-    instance = {"patterns": [to_graph6(p) for p in patterns], "orders": orders}
+    instance = {"patterns": [pattern_name(p) for p in patterns], "orders": orders}
     entries = [BoundEntry("pattern_order", "lower", max(orders), True,
                           reason="any qualifying graph contains each pattern")]
     # every vertex lies in a copy of an order-1 pattern, so the ring carries the rest
     ring = [p for p in patterns if p.order != 1]
+    if len(ring) <= 1:
+        entries.append(BoundEntry("single_pattern_exact", "exact", max(orders), True,
+                                  reason="the largest pattern is full for itself and for K1"))
     if not ring:
         entries.append(BoundEntry("cyclic_upper", "upper", None, False,
                                   reason="every pattern has order 1; the ring needs order >= 2"))

@@ -1,12 +1,12 @@
 """Command-line front end.
 
 Subcommands: construct (build by the theorem for one instance family, and
-optionally verify), verify (fullness report for a host), bound (formula
-values), search (exact minimum via enumeration), design (affine plane as
-JSON).  JSON goes to stdout, diagnostics to stderr.  Exit codes: 0
-success / verdict true, 1 verdict false or failed verification, 2 usage,
-parse or size error, 3 internal invariant breach or any other unexpected
-exception (with its traceback).
+optionally verify), verify (fullness report for a host), bound (every
+applicable formula for the instance --patterns names), search (exact minimum
+via enumeration), design (affine plane as JSON).  JSON goes to stdout,
+diagnostics to stderr.  Exit codes: 0 success / verdict true, 1 verdict
+false or failed verification, 2 usage, parse or size error, 3 internal
+invariant breach or any other unexpected exception (with its traceback).
 """
 
 from __future__ import annotations
@@ -149,22 +149,7 @@ def _cmd_verify(args) -> int:
 def _cmd_bound(args) -> int:
     from . import bounds
 
-    ways = [w for w in (args.egh, args.star, args.patterns) if w]
-    if len(ways) != 1:
-        raise ValueError("choose exactly one of --egh, --star, --patterns")
-    if args.n is not None and not args.patterns:
-        raise ValueError("--n needs --patterns")
-    if args.egh:
-        m, n = args.egh
-        _emit({"formula": "egh", "m": m, "n": n, "value": bounds.egh_formula(m, n)})
-        return 0
-    if args.star:
-        m, n = args.star
-        _emit({"formula": "star_exact", "m": m, "n": n, "value": bounds.star_exact(m, n)})
-        return 0
-    pats = parse_pattern_list(args.patterns)
-    summary = bounds.summarize(pats, args.n)
-    _emit(summary.to_dict())
+    _emit(bounds.summarize(parse_pattern_list(args.patterns), args.n).to_dict())
     return 0
 
 
@@ -214,11 +199,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.set_defaults(func=_cmd_verify)
 
     b = sub.add_parser("bound", help="bound formulas for an instance")
-    b.add_argument("--egh", nargs=2, type=int, metavar=("M", "N"),
-                   help="exact value for complete-vs-edgeless")
-    b.add_argument("--star", nargs=2, type=int, metavar=("M", "N"),
-                   help="exact value for star-vs-edgeless")
-    b.add_argument("--patterns")
+    b.add_argument("--patterns", required=True)
     b.add_argument("--n", type=int, help="append an edgeless pattern of this order")
     b.set_defaults(func=_cmd_bound)
 

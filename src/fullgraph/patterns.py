@@ -3,6 +3,7 @@
 Grammar: a pattern is one or more terms joined by '+', meaning disjoint
 union.  Terms: K<n> complete, E<n> edgeless, S<n> star of order n,
 P<n> path, C<n> cycle, or g6:<string> for a literal graph6 graph.
+``pattern_name`` spells a graph back in this grammar.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import re
 
 from . import graphs
-from .graphs import Graph, from_graph6
+from .graphs import Graph, from_graph6, is_complete_graph, is_empty_graph, to_graph6
 
 # letter: (least order, builder)
 _FAMILIES = {
@@ -42,10 +43,20 @@ def parse_pattern(text: str) -> Graph:
     terms = [t.strip() for t in text.split("+")]
     if not terms or any(not t for t in terms):
         raise ValueError(f"cannot parse pattern {text!r}")
-    g = graphs.disjoint_union(*[_parse_term(t) for t in terms])
+    parts = [_parse_term(t) for t in terms]
+    g = parts[0] if len(parts) == 1 else graphs.disjoint_union(*parts)
     if g.order == 0:
         raise ValueError(f"pattern {text!r} has no vertices")
     return g
+
+
+def pattern_name(g: Graph) -> str:
+    """The name ``parse_pattern`` reads back as ``g``: E<n>, K<n>, or else g6:<graph6>."""
+    if is_empty_graph(g):
+        return f"E{g.order}"
+    if is_complete_graph(g):
+        return f"K{g.order}"
+    return "g6:" + to_graph6(g)
 
 
 def parse_pattern_list(text: str) -> list[Graph]:

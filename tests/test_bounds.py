@@ -43,8 +43,21 @@ from fullgraph.graphs import (
     path,
     star,
 )
-from fullgraph.oracle import enumerate_graphs
+from fullgraph.oracle import enumerate_graphs, f_exact
+from fullgraph.patterns import parse_pattern, parse_pattern_list
 from fullgraph.verifier import is_full
+
+
+def _corpus():
+    """The 414-instance ``bound`` corpus, as (patterns, summary) pairs.
+
+    Every graph of order 1-4 alone, with E1, E2, E3 and E6, and every
+    ordered pair of them.
+    """
+    small = [g for k in range(1, 5) for g in enumerate_graphs(k)]
+    cases = [([g] if n is None else [g, empty(n)], summarize([g], n=n))
+             for g in small for n in (None, 1, 2, 3, 6)]
+    return cases + [([g, h], summarize([g, h])) for g in small for h in small]
 
 
 class TestIntegerArithmetic:
@@ -423,13 +436,31 @@ class TestSummarize:
             summarize(patterns)
 
     def test_corpus_is_pinned(self):
-        # 414 instances: every graph of order 1-4 alone, with E1, E2, E3 and E6,
-        # and every ordered pair of them; K2, P3 and K1,3 against E1 carry star_exact
-        small = [g for k in range(1, 5) for g in enumerate_graphs(k)]
-        out = [summarize([g], n=n).to_dict() for g in small for n in (None, 1, 2, 3, 6)]
-        out += [summarize([g, h]).to_dict() for g in small for h in small]
+        # K2, P3 and K1,3 against E1 carry star_exact; the 74 instances with at most
+        # one pattern above order 1 carry single_pattern_exact
+        out = [s.to_dict() for _, s in _corpus()]
         assert len(out) == 414
-        assert hashlib.sha1(json.dumps(out, sort_keys=True).encode()).hexdigest()[:12] == "63094ecf2839"
+        assert hashlib.sha1(json.dumps(out, sort_keys=True).encode()).hexdigest()[:12] == "84b4a731fba8"
+
+    def test_corpus_patterns_read_back(self):
+        # each spelled pattern parses to the instance's graph, and the spellings,
+        # joined by commas, ask bound the same question again
+        names = set()
+        for pats, s in _corpus():
+            spelled = s.instance["patterns"]
+            names.update(spelled)
+            assert [parse_pattern(name) for name in spelled] == pats
+            assert summarize(parse_pattern_list(",".join(spelled))).to_dict() == s.to_dict()
+        assert {name[:3] if name.startswith("g6:") else name[0] for name in names} == {"E", "K", "g6:"}
+
+    @pytest.mark.parametrize("text", ["K1", "K1,K1", "C5,E1", "K3,E1", "E1,P4,K1", "E4"])
+    def test_single_pattern_exact_is_f(self, text, tmp_path):
+        # the search, not the formula, says f is the largest pattern order
+        pats = parse_pattern_list(text)
+        s = summarize(pats)
+        exact = [e for e in s.applicable("exact") if e.name == "single_pattern_exact"]
+        assert [e.value for e in exact] == [max(p.order for p in pats)]
+        assert s.best_lower() == s.best_upper() == f_exact(pats, cache_dir=tmp_path).f
 
     def test_rejects_n_below_one(self):
         with pytest.raises(ValueError, match="n must be at least 1"):
@@ -437,15 +468,16 @@ class TestSummarize:
 
     def test_single_vertex_patterns(self):
         s = summarize([complete(1)])
-        assert (s.best_lower(), s.best_upper()) == (1, 4)
+        assert (s.best_lower(), s.best_upper()) == (1, 1)
         cyclic = next(e for e in s.entries if e.name == "cyclic_upper")
         assert not cyclic.applicable and cyclic.reason
         s = summarize([complete(1), complete(1)])
         assert s.violations() == []
         assert s.best_lower() == 1 <= s.best_upper()
-        # every vertex covers K1, so the ring on K3 alone is full for [K3, K1]
+        # every vertex covers K1, so the ring on K3 alone is full for [K3, K1], and so is K3
         s = summarize([complete(3), empty(1)])
-        assert s.best_upper() == 4 == next(e.value for e in s.entries if e.name == "cyclic_upper")
+        assert s.best_upper() == 3
+        assert next(e.value for e in s.entries if e.name == "cyclic_upper") == 4
         g, _ = cyclic_full([complete(3)])
         assert g.order == 4 and is_full(g, [complete(3), empty(1)]).verdict
 

@@ -4,8 +4,11 @@ import hashlib
 import io
 import json
 import re
+import resource
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,9 +17,9 @@ from hypothesis import strategies as st
 from fullgraph import bounds, cli, oracle, patterns, verifier
 from fullgraph.cli import main
 from fullgraph.constructions import h_vs_empty
-from fullgraph.graphs import cycle, from_graph6, star, to_graph6
+from fullgraph.graphs import Graph, complete, cycle, disjoint_union, empty, from_graph6, star, to_graph6
 from fullgraph.verifier import is_full
-from fullgraph.patterns import parse_pattern, parse_pattern_list
+from fullgraph.patterns import parse_pattern, parse_pattern_list, pattern_name
 
 
 def run(*args, stdin=None, env=None):
@@ -80,8 +83,8 @@ class TestEmit:
         ["construct", "--theorem", "star", "--m", "3", "--n", "4"],
         ["construct", "--theorem", "cyclic", "--patterns", "K3,E3"],
         ["verify", "HOST", "--patterns", "P3,E3,C4"],
-        ["bound", "--egh", "3", "3"],
-        ["bound", "--star", "3", "4"],
+        ["bound", "--patterns", "K3", "--n", "3"],
+        ["bound", "--patterns", "S3", "--n", "4"],
         ["bound", "--patterns", "C5,E3"],
         ["search", "--patterns", "K2,E2", "--cache-dir", "CACHE"],
         ["design", "--q", "3"],
@@ -318,6 +321,23 @@ class TestPatternLanguage:
             parse(text)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("text, orders", [("C5", [5]), ("K2+E1", [2, 1, 3])])
+    def test_one_term_is_built_once(self, monkeypatch, text, orders):
+        # a union validates its terms and then itself; a single term is returned as built
+        built = []
+        check = Graph.__post_init__
+        monkeypatch.setattr(Graph, "__post_init__", lambda g: (built.append(g.order), check(g)))
+        parse_pattern(text)
+        assert built == orders
+
+    @pytest.mark.parametrize("g, name", [
+        (empty(1), "E1"), (empty(4), "E4"), (complete(2), "K2"), (complete(5), "K5"),
+        (cycle(5), "g6:Dhc"), (star(3), "g6:Bo"), (disjoint_union(complete(2), empty(1)), "g6:B_"),
+    ])
+    def test_pattern_name_reads_back(self, g, name):
+        assert pattern_name(g) == name
+        assert parse_pattern(name) == g
+
 
 class TestVerify:
     def test_verdict_true_exits_zero(self, tmp_path):
@@ -423,21 +443,31 @@ class TestVerify:
 
 class TestBound:
     def test_egh(self):
-        p = run("bound", "--egh", "3", "3")
+        # f(K3, E3) = 8 by the complete-vs-edgeless formula
+        p = run("bound", "--patterns", "K3", "--n", "3")
         assert p.returncode == 0
-        assert json.loads(p.stdout)["value"] == 8
+        out = json.loads(p.stdout)
+        assert next(e["value"] for e in out["entries"] if e["name"] == "complete_vs_empty_exact") == 8
+        assert out["best_lower"] == out["best_upper"] == 8
 
     def test_star(self):
-        p = run("bound", "--star", "3", "5")
+        p = run("bound", "--patterns", "S3", "--n", "5")
         assert p.returncode == 0
-        assert json.loads(p.stdout)["value"] == 9
+        out = json.loads(p.stdout)
+        assert next(e["value"] for e in out["entries"] if e["name"] == "star_exact") == 9
+        assert out["best_lower"] == out["best_upper"] == 9
 
     def test_star_against_one_vertex(self, capsys):
-        assert main(["bound", "--star", "4", "1"]) == 0
-        assert json.loads(capsys.readouterr().out)["value"] == 4
-        # the complete-vs-edgeless formula still asks for n >= 2
-        assert main(["bound", "--egh", "3", "1"]) == 2
-        assert capsys.readouterr() == ("", "error: both orders must be at least 2\n")
+        assert main(["bound", "--patterns", "S4", "--n", "1"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert next(e["value"] for e in out["entries"] if e["name"] == "star_exact") == 4
+        assert out["best_lower"] == out["best_upper"] == 4
+        # the complete-vs-edgeless formula asks for n >= 2, and K3 alone is full for [K3, E1]
+        assert main(["bound", "--patterns", "K3", "--n", "1"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        exact = {e["name"]: e["value"] for e in out["entries"] if e["kind"] == "exact"}
+        assert exact == {"single_pattern_exact": 3}
+        assert out["best_lower"] == out["best_upper"] == 3
 
     def test_summary_table(self):
         p = run("bound", "--patterns", "K2", "--n", "5")
@@ -451,22 +481,44 @@ class TestBound:
     @pytest.mark.parametrize("formula", [["--egh", "3", "3"], ["--star", "3", "5"]])
     def test_n_needs_patterns(self, formula, capsys):
         assert main(["bound", *formula, "--n", "7"]) == 2
-        assert capsys.readouterr() == ("", "error: --n needs --patterns\n")
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: fullgraph bound")
+        assert err.endswith("error: the following arguments are required: --patterns\n")
 
+    # --patterns is the one way to ask; --egh and --star are gone
     @pytest.mark.parametrize("ways", [[], ["--egh", "3", "3", "--star", "3", "5"],
-                                      ["--star", "3", "5", "--patterns", "K3"]])
+                                      ["--star", "3", "5", "--patterns", "K3"],
+                                      ["--egh", "3", "3", "--patterns", "K3"]])
     def test_exactly_one_way_exits_two_otherwise(self, ways, capsys):
         assert main(["bound", *ways]) == 2
-        assert capsys.readouterr() == ("", "error: choose exactly one of --egh, --star, --patterns\n")
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: fullgraph ")
+        if "--patterns" in ways:
+            assert err.endswith(f"error: unrecognized arguments: {' '.join(ways[:3])}\n")
+        else:
+            assert err.endswith("error: the following arguments are required: --patterns\n")
 
-    def test_rejects_egh_below_two(self):
-        p = run("bound", "--egh", "1", "5")
-        assert p.returncode == 2
+    def test_complete_pattern_of_order_one(self, capsys):
+        # K1 takes no complete-vs-edgeless formula (it needs m >= 2); E5 alone is full for [K1, E5]
+        assert main(["bound", "--patterns", "K1", "--n", "5"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert "complete_vs_empty_exact" not in {e["name"] for e in out["entries"]}
+        assert out["best_lower"] == out["best_upper"] == 5
 
     def test_single_vertex_pattern(self, capsys):
         assert main(["bound", "--patterns", "K1"]) == 0
         out = json.loads(capsys.readouterr().out)
-        assert [out["best_lower"], out["best_upper"]] == [1, 4]
+        assert [out["best_lower"], out["best_upper"]] == [1, 1]
+
+    def test_output_grows_with_the_question_not_with_n(self):
+        # E100000 is printed by its name, not by its 833 MB of graph6
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        p = run("bound", "--patterns", "C5", "--n", "100000")
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        assert p.returncode == 0, p.stderr
+        assert json.loads(p.stdout)["instance"]["patterns"] == ["g6:Dhc", "E100000"]
+        assert len(p.stdout.encode()) < 4096
+        assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 2.0
 
     def test_order_zero_pattern_exits_two(self, capsys):
         assert main(["bound", "--patterns", "g6:?"]) == 2
@@ -663,3 +715,16 @@ class TestUsage:
         p = run("--help")
         assert p.returncode == 0
         assert "construct" in p.stdout
+
+    def test_readme_command_lines_parse(self):
+        # every "$ fullgraph ..." line in a README code block, less its comment
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.M | re.S)
+        lines = [line for block in blocks for line in block.splitlines() if line.startswith("$ fullgraph ")]
+        assert len(lines) >= 5
+        parser = cli._build_parser()
+        for line in lines:
+            try:
+                parser.parse_args(shlex.split(line[len("$ fullgraph "):], comments=True))
+            except SystemExit:
+                pytest.fail(f"README command line does not parse: {line}")

@@ -252,10 +252,10 @@ class TestToDict:
     def test_bound_summary(self):
         entries = [BoundEntry("lo", "lower", 3, True, details={"d": [1]}),
                    BoundEntry("up", "upper", 5, True), BoundEntry("no", "upper", None, False, "x")]
-        s = BoundSummary({"patterns": ["A_"], "orders": [2]}, entries)
+        s = BoundSummary({"patterns": ["K2"], "orders": [2]}, entries)
         d = s.to_dict()
         assert list(d) == ["instance", "entries", "best_lower", "best_upper"]
-        assert d["instance"] == {"patterns": ["A_"], "orders": [2]}
+        assert d["instance"] == {"patterns": ["K2"], "orders": [2]}
         assert d["entries"] == [e.to_dict() for e in entries]
         assert all(type(e) is dict for e in d["entries"])
         assert (d["best_lower"], d["best_upper"]) == (3, 5)

@@ -89,8 +89,8 @@ COMMANDS = [
     ["construct", "--theorem", "star", "--m", "3", "--n", "5"],
     ["construct", "--theorem", "star", "--m", "4", "--n", "2"],
     ["construct", "--theorem", "h_vs_empty", "--patterns", "K2+K1", "--n", "3"],
-    ["bound", "--egh", "3", "3"],
-    ["bound", "--star", "3", "4"],
+    ["bound", "--patterns", "K3", "--n", "3"],
+    ["bound", "--patterns", "S3", "--n", "4"],
     ["bound", "--patterns", "K3,C5", "--n", "3"],
     ["design", "--q", "3"],
 ]
