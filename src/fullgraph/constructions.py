@@ -167,6 +167,10 @@ def h_vs_empty(h: Graph, n: int, r: int | None = None) -> tuple[Graph, Construct
     independent set forced through a single vertex of h.  Its order
     n - s + order(h) is optimal, and it takes no r.
 
+    Otherwise, with n = 1 and no r, the host is h itself (recipe tag
+    ``single_pattern``): each of its vertices lies in h and in a copy of
+    E1, and no smaller host holds h.
+
     Otherwise r blocks each carry a copy of the neighbourhood of a
     minimum-degree vertex x; block i is completely joined to its own part
     W_i of a large independent set, so each W_i vertex can play x.  The remaining roles of
@@ -188,6 +192,8 @@ def h_vs_empty(h: Graph, n: int, r: int | None = None) -> tuple[Graph, Construct
         ledger.place(h, range(h.order), range(h.order))
         parameters = {"pattern": to_graph6(h), "n": n, "s": s, "isolated_added": n - s}
         return _finish(ledger.build(claimed), "delta_zero", parameters, claimed)
+    if n == 1 and r is None:  # a copy: the pattern's own object would be checked as a self-map
+        return _finish(Graph(h.order, h.rows), "single_pattern", {"pattern": to_graph6(h), "n": n}, h.order)
     m_prime = h.order - delta - 1
     r = bounds.default_ring_count(delta, m_prime, n, r)
     claimed = bounds.h_vs_empty_order(delta, n, r)

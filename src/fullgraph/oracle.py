@@ -7,28 +7,30 @@ whose partial certificate already exceeds the best are cut, as are target-cell
 candidates equivalent to an already-tried one under an automorphism fixing the
 current prefix pointwise.  A candidate whose row agrees with a kept one's
 outside the two of them is its twin; swapping the two is such an
-automorphism, so it is pruned with no copy search.  Kept candidates are
-pairwise inequivalent, so which automorphism proves a pruning changes neither
-the labeling nor the group the proved automorphisms generate.
+automorphism, so it is pruned with no copy search.  Automorphism generators
+come from one walk down the first path of the search tree (McKay & Piperno
+2014), mapping each vertex of a target cell to the cell's first vertex by a
+twin swap or one anchored copy search.
 
 Enumeration, by canonical augmentation (McKay 1998): each representative of
 order n-1 is extended by one vertex over the least neighbourhood subset of
-each orbit of its automorphism group, whose generators the pruning of one
-canonical search of the parent proves.  A child survives only when its new
-vertex lies in the automorphism orbit of the vertex the canonical labeling
-puts last, so exactly one parent class and one subset orbit reconstruct each
-child class.  That orbit lies in the last cell of the child's refined unit
-partition, among the vertices of largest degree, so the new vertex must too:
-only neighbourhoods that keep its degree largest are generated, and orbits
-are taken through two half-width subset image tables per generator.  The
-second refinement round, computed on the largest-degree vertices alone,
-settles most children: the new vertex is dropped when another of them has
-greater neighbour counts into the lower degree classes, and kept unsearched
-when it alone has the greatest.  Only a tie is refined in full, from its
-degree classes, and kept unsearched when every vertex of its last cell is the
-new vertex, its twin, or its image under an automorphism found by one
-anchored copy search: the cell then lies in the new vertex's orbit.  Only
-when that proof fails does the child's canonical search decide.
+each orbit of its automorphism group, generated by the parent's walk.  A
+child survives only when its new vertex lies in the automorphism orbit of
+the vertex the canonical labeling puts last, so exactly one parent class and
+one subset orbit reconstruct each child class.  That orbit lies in the last
+cell of the child's refined unit partition, among the vertices of largest
+degree, so the new vertex must too: only neighbourhoods that keep its degree
+largest are generated, and orbits are taken through two half-width subset
+image tables per generator.  The second refinement round, computed on the
+largest-degree vertices alone, settles most children: the new vertex is
+dropped when another of them has greater neighbour counts into the lower
+degree classes, and kept unsearched when only its twins have counts as
+great.  Only a tie is refined in full, from its degree classes, and kept
+unsearched when every vertex of its last cell is the new vertex, its twin,
+or its image under an automorphism found by one anchored copy search: the
+cell then lies in the new vertex's orbit.  When that proof fails the child
+is labeled, and kept when its last vertex is the new one or one more copy
+search maps the new vertex there.
 
 Search: a vertex playing role q of a pattern H has deg_H(q) neighbours and
 n(H)-1-deg_H(q) non-neighbours in the copy, so a host with a vertex whose
@@ -117,9 +119,7 @@ def _refine(rows: tuple[int, ...], partition: list[list[int]], splitters: list[l
     return partition
 
 
-def _canonical_search(
-    g: Graph, gens: list | None = None, root: list[list[int]] | None = None,
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _canonical_search(g: Graph, root: list[list[int]] | None = None) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Return (labeling, certificate): labeling[i] is the old vertex at position i.
 
     Depth first over an explicit stack of (partition, splitters) entries,
@@ -130,8 +130,6 @@ def _canonical_search(
     prefix maps it to a kept candidate u.  When v and u are twins (their rows
     agree outside {u, v}) that automorphism is their transposition, and no
     copy search is made; otherwise ``extend_partial_map`` looks for one.
-    Every automorphism proved by target-cell pruning is appended to ``gens``
-    (if given) as a permutation tuple; together they generate Aut(g).
     ``root``, if given, is the refinement of the unit partition, already made.
     """
     n = g.order
@@ -149,7 +147,6 @@ def _canonical_search(
         partition = _refine(rows, partition, splitters)
         prefix: list[int] = []
         cert: list[int] = []
-        prefix_mask = 0
         for cell in partition:
             if len(cell) > 1:
                 break
@@ -158,7 +155,6 @@ def _canonical_search(
                 c |= ((rows[v] >> u) & 1) << i
             cert.append(c)
             prefix.append(v)
-            prefix_mask |= 1 << v
         if cert > best_cert[:len(cert)]:
             continue
         k = len(prefix)
@@ -172,18 +168,11 @@ def _canonical_search(
         for v in target:
             for u in kept:
                 if not (rows[v] ^ rows[u]) & ~(1 << u | 1 << v):
-                    # twins: swapping u and v is an automorphism fixing the prefix
-                    if gens is not None:
-                        swap = list(range(n))
-                        swap[u], swap[v] = v, u
-                        gens.append(tuple(swap))
+                    break  # twins: swapping u and v is an automorphism fixing the prefix
+                # the partition is equitable, so u and v agree on the prefix
+                pins[v] = u
+                if extend_partial_map(g, g, pins) is not None:
                     break
-                if (rows[v] & prefix_mask) == (rows[u] & prefix_mask):
-                    pins[v] = u
-                    if (found := extend_partial_map(g, g, pins)) is not None:
-                        if gens is not None:
-                            gens.append(tuple(map(found.__getitem__, range(n))))
-                        break
             else:
                 kept.append(v)
             pins.pop(v, None)
@@ -191,6 +180,42 @@ def _canonical_search(
             child = partition[:k] + [[v], [u for u in target if u != v]] + partition[k + 1:]
             stack.append((child, [[v]]))  # partition was equitable
     return best_lab, tuple(best_cert)
+
+
+def _automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Generators of Aut(g), as permutation tuples, from one walk down the first path of its search tree.
+
+    At each node each other vertex of the target cell is mapped to the cell's
+    first vertex u, with the prefix fixed, by a twin swap or one
+    ``extend_partial_map`` call, when it is in u's orbit: a transversal of
+    the next node's stabilizer.  The leaf's stabilizer is trivial, so the
+    maps generate Aut(g).
+    """
+    n, rows = g.order, g.rows
+    gens: list[tuple[int, ...]] = []
+    partition, splitters, k = [list(range(n))], [list(range(n))], 0
+    while True:
+        partition = _refine(rows, partition, splitters)
+        while k < n and len(partition[k]) == 1:
+            k += 1
+        if k == n:
+            return gens
+        pins = {cell[0]: cell[0] for cell in partition[:k]}
+        u, *rest = partition[k]
+        for v in rest:
+            if not (rows[v] ^ rows[u]) & ~(1 << u | 1 << v):
+                perm = list(range(n))
+                perm[u], perm[v] = v, u
+            else:
+                pins[v] = u
+                found = extend_partial_map(g, g, pins)
+                del pins[v]
+                if found is None:
+                    continue
+                perm = [found[x] for x in range(n)]  # a list for tuple(): see verifier._plan
+            gens.append(tuple(perm))
+        partition[k:k + 1] = [u], rest
+        splitters = [[u]]
 
 
 def canonical_form(g: Graph) -> bytes:
@@ -208,18 +233,6 @@ def canonical_form(g: Graph) -> bytes:
 # is their concatenation in parent order
 _KIDS: dict[tuple[int, int], bytes] = {}
 _ROWS = [struct.Struct(f"<{n}{'BH'[n > 8]}") for n in range(ENUMERATION_ORDER_CAP + 1)]
-
-
-def _orbit(x: int, maps: list) -> set[int]:
-    """Orbit of x under the group generated by ``maps``, each indexed as x -> image."""
-    seen, stack = {x}, [x]
-    while stack:
-        y = stack.pop()
-        for m in maps:
-            if m[y] not in seen:
-                seen.add(m[y])
-                stack.append(m[y])
-    return seen
 
 
 def _subset_images(p: tuple[int, ...], base: int, width: int) -> list[int]:
@@ -258,21 +271,22 @@ def _children(rows: tuple[int, ...], z: int) -> Iterator[bytes]:
     its second splits the last cell, the vertices T of degree k, by their
     neighbour counts into each lower degree class, in ascending degree order.
     Later rounds split cells in place, so z is rejected unrefined when
-    another vertex of T has a greater key, and accepted when z is T or has
-    the greatest key alone; keys pack the counts, each at most z, as
-    ``_refine``'s do.  Only a tie, or a regular child, is refined in full,
-    starting from its degree classes with every class but the last as
+    another vertex of T has a greater key, and accepted when every vertex of
+    T with a key as great is z's twin: those twins share z's key and lie in
+    z's orbit, which holds the last cell.  Keys pack the counts, each at most
+    z, as ``_refine``'s do.  Only a tie, or a regular child, is refined in
+    full, starting from its degree classes with every class but the last as
     splitters, which is what the first round makes of the unit partition.  A
     tie with z in the last cell L is then accepted unsearched when each u of
     L is z's twin or z's image under an automorphism ``extend_partial_map``
     finds with z pinned to u: L lies in z's orbit and holds the canonically
-    last vertex.  At the first u that fails, the child's canonical search
-    decides.
+    last vertex.  At the first u that fails, the child is labeled, and kept
+    when its last vertex is z or one more such automorphism maps z to it.
+    Parent orbits come from the generators of ``_automorphisms``.
     """
-    gens: list[tuple[int, ...]] = []
-    _canonical_search(_trusted_graph(z, rows), gens)
     h = z // 2
     half = (1 << h) - 1
+    gens = _automorphisms(_trusted_graph(z, rows))
     tables = [(_subset_images(p, 0, h), _subset_images(p, h, z - h)) for p in gens]
     bits = _set_bits()
     width, zbit = z.bit_length(), 1 << z
@@ -302,9 +316,11 @@ def _children(rows: tuple[int, ...], z: int) -> Iterator[bytes]:
                 if m := of_degree[j + 1] & ~subset | of_degree[j] & subset:
                     masks.append(m)
                     mine = mine << width | (subset & m).bit_count()
-            rival = 0
+            rival = -1
             for v in bits[tied]:
                 r, key = rows[v], 0
+                if subset & ~(1 << v) == r:
+                    continue  # z's twin, whose key is z's
                 for m in masks:
                     key = key << width | (r & m).bit_count()
                 if key > rival:
@@ -315,7 +331,7 @@ def _children(rows: tuple[int, ...], z: int) -> Iterator[bytes]:
         for v in bits[subset]:
             grown[v] |= zbit
         child_rows = tuple(grown)
-        if tied and rival == mine:  # a tie, or no lower degree class
+        if tied and rival == mine:  # a tie with a vertex not z's twin, or no lower degree class
             # the degree classes are the first round's refinement of the unit partition
             classes = [list(bits[m]) for m in masks]
             classes.append(list(bits[tied | zbit]))
@@ -326,9 +342,8 @@ def _children(rows: tuple[int, ...], z: int) -> Iterator[bytes]:
             # kept unlabeled when the last cell, which holds the canonically last vertex, lies in z's orbit
             if not all(not (child_rows[u] ^ subset) & ~(1 << u | zbit)
                        or extend_partial_map(child, child, {z: u}) is not None for u in root[-1] if u != z):
-                child_gens: list[tuple[int, ...]] = []
-                lab, _ = _canonical_search(child, child_gens, root)
-                if z not in _orbit(lab[-1], child_gens):
+                last = _canonical_search(child, root)[0][-1]
+                if last != z and extend_partial_map(child, child, {z: last}) is None:
                     continue
         yield _ROWS[z + 1].pack(*child_rows)
 

@@ -12,7 +12,9 @@ time.
 The order of the levels and their degree lower bounds depend on the pattern
 and its pinned vertices only, so they are planned once and kept in a small
 cache keyed by the pattern's rows and pinned vertices: the same few patterns
-are searched on thousands of hosts.
+are searched on thousands of hosts.  A self-map, the host passed as its own
+pattern (the enumerator's automorphism tests), is not planned: its levels
+are its pins, then index order, and it leaves the cache to the host checks.
 
 Twins are two vertices with equal rows (false twins) or equal closed rows
 (true twins); swapping them is an automorphism.  An anchored search tries
@@ -63,7 +65,8 @@ def extend_partial_map(host: Graph, pattern: Graph, pins: dict[int, int]) -> dic
     Returns a full role map or None.  With empty pins this searches for any
     induced copy of the pattern; pinning every vertex just validates a map.
     The level order comes from the cached plan of the pattern's rows and the
-    pinned pattern vertices in pin order.
+    pinned pattern vertices in pin order, or for a self-map from the pins
+    and then index order.
     """
     p, h = pattern.order, host.order
     if p < 1:
@@ -76,7 +79,12 @@ def extend_partial_map(host: Graph, pattern: Graph, pins: dict[int, int]) -> dic
         if not 0 <= w < h:
             raise ValueError(f"pinned host vertex {w} outside 0..{h - 1}")
     prows, hrows = pattern.rows, host.rows
-    order, lo = _plan(prows, tuple(pins))
+    if host is pattern:
+        # an automorphism test: pins, then index order, unplanned
+        order = [*pins, *[q for q in range(p) if q not in pins]]
+        lo = [prows[q].bit_count() for q in order]
+    else:
+        order, lo = _plan(prows, tuple(pins))
 
     # per level: the host vertices allowed (one if pinned) and the degree
     # range, since an image needs as many neighbours and non-neighbours

@@ -191,6 +191,17 @@ class TestConstruct:
         assert (out["order"], out["verified"]) == (3, True)
         assert from_graph6(out["graph6"]) == star(3)
 
+    @pytest.mark.parametrize("pattern,order", [("C5", 5), ("K3", 3)])
+    def test_pattern_against_one_vertex_is_the_pattern(self, pattern, order, capsys):
+        # bound's single_pattern_exact: f(H, E1) = order(H), met by H itself
+        assert main(["bound", "--patterns", pattern, "--n", "1"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["best_lower"] == summary["best_upper"] == order
+        assert main(["construct", "--theorem", "h_vs_empty", "--patterns", pattern, "--n", "1"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["order"], out["verified"], out["recipe"]["theorem_tag"]) == (order, True, "single_pattern")
+        assert from_graph6(out["graph6"]) == parse_pattern(pattern)
+
     @pytest.mark.parametrize("argv,message", [
         (["--theorem", "star", "--m", "3", "--n", "2", "--k", "1"], "k applies only when n >= m"),
         (["--theorem", "h_vs_empty", "--patterns", "K2+K1", "--n", "9", "--r", "4"],

@@ -182,6 +182,16 @@ class TestHVsEmpty:
         assert recipe.parameters["r"] == 4
         assert is_full(g, [complete(3), empty(9)]).verdict
 
+    def test_one_vertex_independent_set_takes_the_pattern_itself(self):
+        # f(H, E1) = order(H) for H of min degree >= 1; an explicit r still asks for the ring
+        for h in [cycle(5), complete(3), path(3), complete(2), cycle(4)]:
+            g, recipe = h_vs_empty(h, 1)
+            assert g == h and g is not h
+            assert (recipe.theorem_tag, recipe.claimed_order) == ("single_pattern", h.order)
+            assert is_full(g, [h, empty(1)]).verdict
+        with pytest.raises(ValueError):
+            h_vs_empty(cycle(5), 1, r=6)
+
     def test_recipe_w_split_shape(self):
         _, recipe = h_vs_empty(path(3), 9)
         sizes = recipe.parameters["w_sizes"]
@@ -227,9 +237,9 @@ class TestHVsEmpty:
             h_vs_empty(empty(3), 2)
 
     def test_rejects_n_below_split(self):
-        # every independent-set part must stay nonempty
-        with pytest.raises(ValueError):
-            h_vs_empty(complete(2), 1)
+        # every independent-set part must stay nonempty; with n = 1 only an explicit r asks for the split
+        with pytest.raises(ValueError, match="n=1 too small"):
+            h_vs_empty(complete(2), 1, r=2)
         with pytest.raises(ValueError):
             h_vs_empty(complete(2), 2)
         with pytest.raises(ValueError):

@@ -41,13 +41,13 @@ from fullgraph.graphs import (
 from fullgraph.oracle import (
     ENUMERATION_ORDER_CAP,
     SearchResult,
+    _automorphisms,
     _cache_lookup,
     _cache_store,
     _canonical_search,
     _children,
     _degree_window,
     _level,
-    _orbit,
     _pattern_form,
     _refine,
     canonical_form,
@@ -63,8 +63,22 @@ def canonical_labeling(g):
     return _canonical_search(g)[0]
 
 
-def enumeration_digest(n):
-    return hashlib.sha1("\n".join(to_graph6(g) for g in enumerate_graphs(n)).encode()).hexdigest()[:12]
+def enumeration_digest(n, count=None):
+    """Digest of the graph6 of the first ``count`` representatives of order n, or of all of them."""
+    graphs = itertools.islice(enumerate_graphs(n), count)
+    return hashlib.sha1("\n".join(to_graph6(g) for g in graphs).encode()).hexdigest()[:12]
+
+
+def orbit(x, maps):
+    """Orbit of x under the group generated by ``maps``, each indexed as x -> image."""
+    seen, stack = {x}, [x]
+    while stack:
+        y = stack.pop()
+        for m in maps:
+            if m[y] not in seen:
+                seen.add(m[y])
+                stack.append(m[y])
+    return seen
 
 
 def brute_is_full(host, patterns):
@@ -237,6 +251,8 @@ def is_automorphism(g, p):
 
 
 class TestRecordedGenerators:
+    """The generators ``_automorphisms`` finds on one walk down the first path of the search tree."""
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_generate_the_automorphism_group(self, n):
         for g in enumerate_graphs(n):
@@ -245,8 +261,7 @@ class TestRecordedGenerators:
                 p for p in itertools.permutations(range(n))
                 if all(rows[p[v]] == sum(1 << p[u] for u in range(n) if rows[v] >> u & 1) for v in range(n))
             }
-            gens = []
-            _canonical_search(g, gens)
+            gens = _automorphisms(g)
             assert all(p in group for p in gens)
             assert orbits_of(n, gens) == orbits_of(n, group)
             identity = tuple(range(n))
@@ -266,8 +281,7 @@ class TestRecordedGenerators:
     ])
     def test_are_automorphisms_with_the_proven_orbits(self, graphs):
         for g in graphs():
-            gens = []
-            _canonical_search(g, gens)
+            gens = _automorphisms(g)
             assert all(is_automorphism(g, p) for p in gens), to_graph6(g)
             assert orbits_of(g.order, gens) == proven_orbits(g), to_graph6(g)
 
@@ -281,7 +295,8 @@ class TestRecordedGenerators:
         try:
             for _ in range(20):
                 for g in graphs:
-                    _canonical_search(g, [])
+                    _automorphisms(g)
+                    _canonical_search(g)
             gc.collect()
             assert gc.garbage[before:] == []
         finally:
@@ -291,12 +306,19 @@ class TestRecordedGenerators:
                 gc.enable()
 
     def test_recording_leaves_the_labeling_unchanged(self):
+        # the walk and the search share no state: a walk before or after a
+        # search changes neither, and its maps are automorphisms with the proven orbits
         rng = random.Random(4242)
         for _ in range(100):
             n = rng.randint(1, 9)
             edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
             g = Graph.from_edges(n, edges)
-            assert _canonical_search(g, []) == _canonical_search(g)
+            labeled = _canonical_search(g)
+            gens = _automorphisms(g)
+            assert _canonical_search(g) == labeled
+            assert _automorphisms(g) == gens
+            assert all(is_automorphism(g, p) for p in gens)
+            assert orbits_of(n, gens) == proven_orbits(g)
 
 
 class TestEnumeration:
@@ -339,6 +361,11 @@ class TestEnumeration:
 
     def test_order_eight_sequence_is_pinned(self):
         assert enumeration_digest(8) == "19a4a06bbc42"
+
+    def test_order_nine_prefix_is_pinned(self):
+        # the first 20,000 classes of order 9, from the first 526 parents of order 8:
+        # each parent's generators and each tie child's decision reach the sequence
+        assert enumeration_digest(9, 20000) == "8f4fe1fef834"
 
 
 class TestLevelStore:
@@ -385,11 +412,11 @@ oracle._children = lambda rows, z: extended.append(z) or children(rows, z)
 
 
 class TestWorkCounts:
-    """Automorphism tests, refinements and canonical searches that enumerating order 8 makes.
+    """Automorphism tests, refinements, walks and canonical searches that enumerating order 8 makes.
 
     Counted in a child interpreter, so the level store starts empty, through
-    the names ``oracle`` calls them by.  A canonical search is counted by the
-    order of its graph, as a parent's (no root given) or a child's labeling.
+    the names ``oracle`` calls them by.  A walk (``_automorphisms``) and a
+    canonical search are counted by the order of their graph.
     """
 
     CODE = """
@@ -404,15 +431,16 @@ def counted(name, f):
     return wrapper
 for name in counts:
     setattr(oracle, name, counted(name, getattr(oracle, name)))
-searched = {{}}
-search = oracle._canonical_search
-def counted_search(g, gens=None, root=None):
-    key = f"{{'parent' if root is None else 'child'}} {{g.order}}"
-    searched[key] = searched.get(key, 0) + 1
-    return search(g, gens, root)
-oracle._canonical_search = counted_search
+by_order = {{"walked": {{}}, "searched": {{}}}}
+def by_order_of(kind, f):
+    def wrapper(g, *args):
+        by_order[kind][g.order] = by_order[kind].get(g.order, 0) + 1
+        return f(g, *args)
+    return wrapper
+oracle._automorphisms = by_order_of("walked", oracle._automorphisms)
+oracle._canonical_search = by_order_of("searched", oracle._canonical_search)
 for _ in oracle.enumerate_graphs(8): pass
-print(json.dumps(dict(counts, searched=searched)))
+print(json.dumps(dict(counts, **by_order)))
 """
 
     def test_order_eight_counts_are_pinned(self):
@@ -420,12 +448,12 @@ print(json.dumps(dict(counts, searched=searched)))
         p = subprocess.run([sys.executable, "-c", self.CODE.format(src=src)],
                            capture_output=True, text=True, timeout=120)
         assert p.returncode == 0, p.stderr
-        # a twin candidate is pruned with no copy search, so most prunings make no
-        # test; a tie child is labeled only when its orbit proof fails
+        # one walk a parent; a twin candidate is mapped with no copy search; a
+        # tie child is labeled only when its orbit proof fails
         assert json.loads(p.stdout) == {
-            "extend_partial_map": 2934, "_refine": 9036,
-            "searched": {"parent 1": 1, "parent 2": 2, "parent 3": 4, "parent 4": 11, "parent 5": 34,
-                         "parent 6": 156, "parent 7": 1044, "child 7": 4, "child 8": 45},
+            "extend_partial_map": 2962, "_refine": 6458,
+            "walked": {"1": 1, "2": 2, "3": 4, "4": 11, "5": 34, "6": 156, "7": 1044},
+            "searched": {"7": 4, "8": 45},
         }
 
 
@@ -521,16 +549,25 @@ class TestSearchCuts:
     def test_last_vertex_orbit_lies_in_the_last_root_cell(self):
         for n in range(1, 8):
             for g in enumerate_graphs(n):
-                gens = []
-                lab, _ = _canonical_search(g, gens)
-                assert _orbit(lab[-1], gens) <= set(self.root(g)[-1])
+                assert orbit(canonical_labeling(g)[-1], _automorphisms(g)) <= set(self.root(g)[-1])
 
-    def test_given_root_changes_nothing(self):
+    def test_given_root_changes_nothing(self, monkeypatch):
+        # the same labeling, through the same automorphism tests in the same order
+        proofs = []
+
+        def recording(host, pattern, pins):
+            proofs.append((host.rows, dict(pins)))
+            return extend_partial_map(host, pattern, pins)
+
+        monkeypatch.setattr(oracle, "extend_partial_map", recording)
         for n in range(1, 8):
             for g in enumerate_graphs(n):
-                gens, rooted_gens = [], []
-                assert _canonical_search(g, gens) == _canonical_search(g, rooted_gens, self.root(g))
-                assert gens == rooted_gens
+                proofs.clear()
+                searched = _canonical_search(g)
+                unrooted = proofs[:]
+                proofs.clear()
+                assert _canonical_search(g, self.root(g)) == searched
+                assert proofs == unrooted
 
     @staticmethod
     def shortcut_graphs():
@@ -564,23 +601,20 @@ class TestSearchCuts:
     @staticmethod
     def reference_children(rows, z):
         """Rows of the children of a parent, accepted by one canonical search each."""
-        gens = []
-        _canonical_search(Graph(z, rows), gens)
+        gens = _automorphisms(Graph(z, rows))
         images = [[sum(1 << p[v] for v in range(z) if s >> v & 1) for s in range(1 << z)] for p in gens]
         degrees = [r.bit_count() for r in rows]
         covered = set()
         for subset in range(1 << z):
             if subset in covered:
                 continue
-            covered |= _orbit(subset, images)
+            covered |= orbit(subset, images)
             k = subset.bit_count()
             if any(d + (subset >> v & 1) > k for v, d in enumerate(degrees)):
                 continue
-            child_rows = tuple(r | (subset >> v & 1) << z for v, r in enumerate(rows)) + (subset,)
-            child_gens = []
-            lab, _ = _canonical_search(Graph(z + 1, child_rows), child_gens)
-            if z in _orbit(lab[-1], child_gens):
-                yield child_rows
+            child = Graph(z + 1, tuple(r | (subset >> v & 1) << z for v, r in enumerate(rows)) + (subset,))
+            if z in orbit(canonical_labeling(child)[-1], _automorphisms(child)):
+                yield child.rows
 
     def test_children_match_a_canonical_search_per_candidate(self):
         def rows_of(data, n):
@@ -595,8 +629,7 @@ class TestSearchCuts:
     @staticmethod
     def candidate_children(rows, z):
         """Rows of the child of every degree-passing Aut(parent) orbit root, least subset first."""
-        gens = []
-        _canonical_search(Graph(z, rows), gens)
+        gens = _automorphisms(Graph(z, rows))
         images = [[sum(1 << p[v] for v in range(z) if s >> v & 1) for s in range(1 << z)] for p in gens]
         degrees = [r.bit_count() for r in rows]
         covered = set()
@@ -604,12 +637,13 @@ class TestSearchCuts:
             k = subset.bit_count()
             if subset in covered or any(d + (subset >> v & 1) > k for v, d in enumerate(degrees)):
                 continue
-            covered |= _orbit(subset, images)
+            covered |= orbit(subset, images)
             yield tuple(r | (subset >> v & 1) << z for v, r in enumerate(rows)) + (subset,)
 
     def test_unrefined_decisions_agree_with_the_refined_root(self, monkeypatch):
         # a child that _children decides without refining its root must have z
-        # alone in the root's last cell when kept, and outside it when dropped
+        # alone in the root's last cell when kept, or with z's twins only (an
+        # orbit of the child), and outside it when dropped
         parents = [(z, parent) for z in range(1, 8) for parent in _level(z)]
         refine, refined = _refine, set()
 
@@ -618,7 +652,7 @@ class TestSearchCuts:
             return refine(rows, partition, splitters)
 
         monkeypatch.setattr(oracle, "_refine", recording_refine)
-        dropped = kept_by_key = 0
+        dropped = kept_by_key = kept_with_twins = 0
         for z, parent in parents:
             refined.clear()
             kept = {unpack_rows(child, z + 1) for child in _children(parent, z)}
@@ -627,13 +661,15 @@ class TestSearchCuts:
                     continue
                 last = refine(child_rows, [list(range(z + 1))], [list(range(z + 1))])[-1]
                 if child_rows in kept:
-                    assert last == [z], child_rows
+                    twins = [u for u in last if not (child_rows[u] ^ child_rows[z]) & ~(1 << u | 1 << z)]
+                    assert z in last and twins == last, child_rows
+                    kept_with_twins += len(last) > 1
                     degrees = [r.bit_count() for r in child_rows]
                     kept_by_key += degrees.count(degrees[z]) > 1
                 else:
                     assert z not in last, child_rows
                     dropped += 1
-        assert dropped > 5000 and kept_by_key > 3000
+        assert dropped > 5000 and kept_by_key > 3000 and kept_with_twins > 1000
 
     def test_orbit_proof_keeps_only_children_whose_new_vertex_is_canonically_last(self, monkeypatch):
         # a tie child whose last root cell holds z and more is kept unlabeled when
@@ -642,10 +678,10 @@ class TestSearchCuts:
         # such proof is labeled, and kept or dropped by its labeling
         search, labeled = _canonical_search, set()
 
-        def recording_search(g, gens=None, root=None):
+        def recording_search(g, root=None):
             if root is not None:
                 labeled.add(g.rows)
-            return search(g, gens, root)
+            return search(g, root)
 
         monkeypatch.setattr(oracle, "_canonical_search", recording_search)
         proved, fallback = 0, {True: 0, False: 0}
@@ -658,9 +694,7 @@ class TestSearchCuts:
                     last = self.root(g)[-1]
                     if z not in last or len(last) == 1:
                         continue
-                    gens = []
-                    lab, _ = search(g, gens)
-                    canonical = z in _orbit(lab[-1], gens)
+                    canonical = z in orbit(search(g)[0][-1], _automorphisms(g))
                     assert (child_rows in kept) == canonical, child_rows
                     if all(extend_partial_map(g, g, {z: u}) is not None for u in last if u != z):
                         proved += 1

@@ -5,9 +5,11 @@ are a large part of its time.  The checks run in a child interpreter, so
 this process's modules never count.
 """
 
+import io
 import json
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -64,6 +66,23 @@ def test_search_and_verify_load_no_bounds_or_constructions(tmp_path):
     loaded = loaded_by_commands([search, search, ["verify", str(host), "--patterns", "P3"]])
     assert submodules(loaded) == {"fullgraph.cli", "fullgraph.graphs", "fullgraph.patterns",
                                   "fullgraph.oracle", "fullgraph.verifier"}
+
+
+@pytest.mark.parametrize("module", ["graphs", "oracle", "verifier", "cli", "patterns"])
+def test_search_and_verify_modules_stay_below_the_compile_step(module):
+    """Each module a ``search`` or ``verify`` process compiles stays under 4,000 tokens.
+
+    A command compiles the package from source when no bytecode is written
+    (``PYTHONDONTWRITEBYTECODE``).  Compiling ``oracle.py`` peaks at about
+    1.34 MB (tracemalloc over ``compile()``), and the peak steps up to about
+    1.7 MB once a module passes between about 4,060 and 4,200 tokens, which
+    lifts the process's peak RSS.  Tokens are what ``tokenize`` yields, less
+    comments and non-logical newlines: docstrings count, comments do not.
+    """
+    source = (ROOT / "src" / "fullgraph" / f"{module}.py").read_text()
+    tokens = [t for t in tokenize.generate_tokens(io.StringIO(source).readline)
+              if t.type not in (tokenize.COMMENT, tokenize.NL)]
+    assert len(tokens) < 4000
 
 
 def test_importing_the_oracle_builds_no_table():

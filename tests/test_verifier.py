@@ -406,14 +406,19 @@ plan = verifier._plan
 
     def test_cached_plans_stay_as_planned(self):
         # a hit returns the stored plan itself, so the last plan returned for
-        # each key covers every plan the cache still holds
+        # each key covers every plan the cache still holds; the host checks of
+        # 43 patterns, each anchored at one vertex or more, overflow the cache
         got = self.run("""
+from fullgraph.graphs import cycle
 returned = {}
 def recording(*key):
     returned[key] = plan(*key)
     return returned[key]
 verifier._plan = recording
 for _ in oracle.enumerate_graphs(8): pass
+patterns = [p for n in (4, 5) for p in oracle.enumerate_graphs(n) if any(p.rows)]
+for pattern in patterns:
+    verifier.is_full(cycle(9), [pattern])
 host, _ = star_full(10, 1000)
 assert verifier.is_full(host, parse_pattern_list("S10,E1000"), stop_at_gap=True).verdict
 info = plan.cache_info()
@@ -423,10 +428,19 @@ print(json.dumps({"keys": len(returned), "currsize": info.currsize, "maxsize": i
         assert got["stale"] == []
         assert got["keys"] > got["maxsize"] >= got["currsize"] > 0
 
+    def test_enumeration_plans_nothing(self):
+        # an automorphism test passes the graph as its own pattern, which is never planned
+        got = self.run("""
+before = plan.cache_info()
+for _ in oracle.enumerate_graphs(8): pass
+print(json.dumps([before, plan.cache_info()]))
+""")
+        assert got[0] == got[1]
+
     def test_search_hits_and_misses_are_pinned(self, tmp_path):
-        # the misses are mostly automorphism tests, whose pattern is each new child
+        # the host checks' few patterns and pins; no automorphism test is planned
         got = self.run(f"""
 oracle.f_exact(parse_pattern_list("K3,E3"), cache_dir={str(tmp_path)!r})
 print(json.dumps({{"plan": plan.cache_info()[:2]}}))
 """)
-        assert got == {"plan": [2900, 932]}
+        assert got == {"plan": [2691, 2]}
