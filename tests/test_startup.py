@@ -74,10 +74,10 @@ def test_search_and_verify_modules_stay_below_the_compile_step(module):
 
     A command compiles the package from source when no bytecode is written
     (``PYTHONDONTWRITEBYTECODE``).  Compiling ``oracle.py`` peaks at about
-    1.34 MB (tracemalloc over ``compile()``), and the peak steps up to about
-    1.7 MB once a module passes between about 4,060 and 4,200 tokens, which
-    lifts the process's peak RSS.  Tokens are what ``tokenize`` yields, less
-    comments and non-logical newlines: docstrings count, comments do not.
+    1.4 MB (tracemalloc over ``compile()``), and the peak steps up to about
+    1.7 MB once a module passes about 4,080 tokens, which lifts the
+    process's peak RSS.  Tokens are what ``tokenize`` yields, less comments
+    and non-logical newlines: docstrings count, comments do not.
     """
     source = (ROOT / "src" / "fullgraph" / f"{module}.py").read_text()
     tokens = [t for t in tokenize.generate_tokens(io.StringIO(source).readline)
